@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use funcx_service::http::{http_request, Handler, HttpServer, Request, Response};
+use funcx_service::http::{Handler, HttpClient, HttpServer, Request, Response};
 use funcx_types::Result;
 
 use crate::node::ClusterNode;
@@ -38,10 +38,18 @@ pub fn serve_front(node: Arc<ClusterNode>, addr: &str, mode: RouteMode) -> Resul
 /// The FrontDoor as a plain [`Handler`], for embedding.
 pub fn make_front_handler(node: Arc<ClusterNode>, mode: RouteMode) -> Handler {
     let local = funcx_service::rest::make_handler(Arc::clone(node.service()));
-    Arc::new(move |req: Request| front_route(&node, &local, mode, req))
+    // Door→owner connections, kept open across proxied requests.
+    let owners = HttpClient::new();
+    Arc::new(move |req: Request| front_route(&node, &local, &owners, mode, req))
 }
 
-fn front_route(node: &ClusterNode, local: &Handler, mode: RouteMode, req: Request) -> Response {
+fn front_route(
+    node: &ClusterNode,
+    local: &Handler,
+    owners: &HttpClient,
+    mode: RouteMode,
+    req: Request,
+) -> Response {
     // Instance-local surfaces: always answered here, never routed.
     if req.method == "GET" && req.path.trim_matches('/') == "v1/cluster/status" {
         return status_response(node);
@@ -64,15 +72,16 @@ fn front_route(node: &ClusterNode, local: &Handler, mode: RouteMode, req: Reques
                 };
                 Response::json(307, Vec::new()).with_header("Location", target)
             }
-            RouteMode::Proxy => proxy(&member.rest_addr, &req),
+            RouteMode::Proxy => proxy(owners, &member.rest_addr, &req),
         },
     }
 }
 
 /// Re-issue `req` against `rest_addr` and relay the answer verbatim.
 /// An unreachable owner maps to 503 — the SDK retries, and by then the
-/// lease may have moved.
-fn proxy(rest_addr: &str, req: &Request) -> Response {
+/// lease may have moved. So does a pooled connection the owner has since
+/// dropped under a `POST`, which the pool never replays.
+fn proxy(owners: &HttpClient, rest_addr: &str, req: &Request) -> Response {
     let Ok(addr) = rest_addr.parse() else {
         return Response::json(
             503,
@@ -81,7 +90,7 @@ fn proxy(rest_addr: &str, req: &Request) -> Response {
     };
     let path =
         if req.query.is_empty() { req.path.clone() } else { format!("{}?{}", req.path, req.query) };
-    match http_request(addr, &req.method, &path, req.bearer(), &req.body) {
+    match owners.request(addr, &req.method, &path, req.bearer(), &req.body) {
         Ok(resp) => resp,
         Err(_) => Response::json(
             503,

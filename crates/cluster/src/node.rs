@@ -315,8 +315,8 @@ impl ClusterNode {
     fn reconcile(&self) {
         let alive = self.membership.alive();
         let ring = HashRing::new(self.config.seed, self.config.vnodes, &alive);
-        // Partitions we just took over, grouped by the dead previous leader.
-        let mut taken: HashMap<u64, Vec<u32>> = HashMap::new();
+        // Leases to take over, grouped by their dead leader.
+        let mut stale: HashMap<u64, Vec<PartitionLease>> = HashMap::new();
         {
             let mut leases = self.leases.lock();
             for partition in 0..self.config.partitions {
@@ -330,17 +330,7 @@ impl ClusterNode {
                     // disagrees (a joining member must not yank partitions
                     // from a healthy owner mid-flight).
                     Some(lease) if self.membership.is_alive(lease.leader) => {}
-                    Some(lease) => {
-                        leases.insert(
-                            partition,
-                            PartitionLease {
-                                partition,
-                                leader: self.instance(),
-                                epoch: lease.epoch + 1,
-                            },
-                        );
-                        taken.entry(lease.leader).or_default().push(partition);
-                    }
+                    Some(lease) => stale.entry(lease.leader).or_default().push(lease),
                     None => {
                         leases.insert(
                             partition,
@@ -350,8 +340,22 @@ impl ClusterNode {
                 }
             }
         }
-        for (dead, partitions) in taken {
+        // Absorb first, publish second: once a lease names us, every
+        // FrontDoor sends the partition's requests here, and they must
+        // find its tasks.
+        for (dead, stale) in stale {
+            let partitions: Vec<u32> = stale.iter().map(|lease| lease.partition).collect();
             self.take_over(dead, &partitions);
+            let mut leases = self.leases.lock();
+            for lease in stale {
+                // Gossip may have delivered a newer claim meanwhile.
+                if leases.get(&lease.partition) == Some(&lease) {
+                    leases.insert(
+                        lease.partition,
+                        PartitionLease { leader: self.instance(), epoch: lease.epoch + 1, ..lease },
+                    );
+                }
+            }
         }
     }
 

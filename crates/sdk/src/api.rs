@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use funcx_lang::Value;
 use funcx_registry::Sharing;
+use funcx_service::http::HttpClient;
 use funcx_service::service::SubmitRequest;
 use funcx_service::FuncxService;
 use funcx_types::task::TaskState;
@@ -199,22 +200,25 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Real HTTP against a served REST API.
+/// Real HTTP against a served REST API. Every call from one `RestApi`
+/// reuses its kept-alive connection; a redirect's owner gets a second
+/// pooled connection, keyed by its address.
 pub struct RestApi {
     addr: SocketAddr,
     policy: RetryPolicy,
+    http: HttpClient,
 }
 
 impl RestApi {
     /// Point at a server (from `funcx_service::rest::serve_rest`) with the
     /// default [`RetryPolicy`].
     pub fn new(addr: SocketAddr) -> Self {
-        RestApi { addr, policy: RetryPolicy::default() }
+        RestApi::with_policy(addr, RetryPolicy::default())
     }
 
     /// Point at a server with explicit resilience tunables.
     pub fn with_policy(addr: SocketAddr, policy: RetryPolicy) -> Self {
-        RestApi { addr, policy }
+        RestApi { addr, policy, http: HttpClient::new() }
     }
 
     /// Split a `Location` value into `(addr, path)`. Accepts the absolute
@@ -251,7 +255,7 @@ impl RestApi {
         let mut attempt = 1u32;
         let mut backoff = self.policy.base_backoff;
         let resp = loop {
-            let resp = funcx_service::http::http_request(addr, method, &path, Some(bearer), &raw)?;
+            let resp = self.http.request(addr, method, &path, Some(bearer), &raw)?;
             match resp.status {
                 // A clustered FrontDoor answers 307 when another instance
                 // owns this user's partition: re-issue the identical

@@ -365,3 +365,40 @@ fn proxy_mode_relays_foreign_requests() {
         inst.node.shutdown();
     }
 }
+
+#[test]
+fn proxy_mode_answers_503_when_the_owner_dies_under_a_pooled_connection() {
+    if serde_is_stubbed() {
+        return;
+    }
+    let clock: SharedClock = Arc::new(RealClock::with_speedup(1000.0));
+    let auth = AuthService::new(Arc::clone(&clock));
+    let mut instances = spin_cluster(2, &clock, &auth, RouteMode::Proxy);
+    await_convergence(&instances, 2);
+    let token = user_owned_by(&auth, &instances[0].node, 2, "orphan");
+    let door = instances[0].http.local_addr();
+
+    // Proxied calls leave a kept-alive door→owner connection in the pool.
+    for _ in 0..3 {
+        let resp = http_request(door, "GET", "/v1/endpoints/status", Some(&token), b"").unwrap();
+        assert_eq!(resp.status, 200);
+    }
+
+    // Kill the owner: REST listener and gossip. Until the door notices and
+    // takes the partition over, its pooled connection is a dead socket.
+    instances[1].http.stop();
+    instances[1].node.shutdown();
+    for (method, body) in [("POST", &br#"{"tasks": []}"#[..]), ("GET", b"")] {
+        let path = if method == "POST" { "/v1/batch" } else { "/v1/endpoints/status" };
+        let asked = std::time::Instant::now();
+        let resp = http_request(door, method, path, Some(&token), body).unwrap();
+        let still_foreign =
+            instances[0].node.owner_of_bearer(&token).map(|m| m.instance) == Some(2);
+        assert!(asked.elapsed() < Duration::from_secs(2), "{method} hung on the dead owner");
+        if still_foreign {
+            assert_eq!(resp.status, 503, "{method}: a dead owner is unavailable, not an error");
+        }
+    }
+
+    instances[0].node.shutdown();
+}
