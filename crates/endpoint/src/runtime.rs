@@ -8,12 +8,13 @@
 //! through a [`RuntimeRegistry`] — a small trait-object table mapping
 //! [`Runtime`] tags to [`FunctionRuntime`] implementations:
 //!
-//! * [`FxScriptRuntime`] — the classic tree-walking interpreter
+//! * [`FxScriptRuntime`] — the interpreter under its classic policy
 //!   (`funcx_lang::run_function_in_env`), now honouring the per-function
 //!   [`TaskLimits`] overlay instead of one hard-coded default;
-//! * [`SandboxRuntime`] — the embedded sandbox VM ([`funcx_sandbox`]),
-//!   with pre-warmed environment pools, hard fuel/memory/time/output caps,
-//!   persistent named sessions, and deny-by-default capabilities.
+//! * [`SandboxRuntime`] — the same interpreter under the sandbox policy
+//!   ([`funcx_sandbox`]), with pre-warmed environment pools, hard
+//!   fuel/memory/time/output caps, persistent named sessions, and
+//!   deny-by-default capabilities.
 //!
 //! An endpoint only advertises the runtimes its registry holds; the service
 //! refuses to route a function to an endpoint that cannot execute it, so a

@@ -13,15 +13,20 @@ use crate::error::{LangError, LangResult};
 use crate::interp::ExecHooks;
 use crate::value::Value;
 
-/// What builtin dispatch needs from its execution engine. The tree-walking
-/// [`Interpreter`](crate::interp::Interpreter) implements this, and so can
-/// any other engine (e.g. the `funcx-sandbox` VM) that wants to reuse the
-/// builtin surface without inheriting the interpreter itself.
-pub trait BuiltinCtx {
+/// What builtin dispatch needs from the execution it serves. An
+/// [`ExecPolicy`](crate::interp::ExecPolicy) decides which hooks a builtin
+/// gets to see.
+pub struct BuiltinCtx<'a> {
     /// Side-effect hooks (`sleep`/`stress`/`print`).
-    fn hooks(&self) -> &dyn ExecHooks;
-    /// Has the program imported `module`? Gates the `math` builtins.
-    fn imported(&self, module: &str) -> bool;
+    pub hooks: &'a dyn ExecHooks,
+    /// The program's imports. Gates the `math` builtins.
+    pub imports: &'a [String],
+}
+
+impl BuiltinCtx<'_> {
+    fn imported(&self, module: &str) -> bool {
+        self.imports.iter().any(|m| m == module)
+    }
 }
 
 fn err(msg: impl Into<String>, line: u32) -> LangError {
@@ -115,23 +120,45 @@ fn add(l: Value, r: Value, line: u32) -> LangResult<Value> {
 }
 
 fn mul(l: Value, r: Value, line: u32) -> LangResult<Value> {
+    // At most 64 MiB of contents under the one 24-byte header.
+    let fits = repetition_bytes(BinOp::Mul, &l, &r) <= Some(24 + (64 << 20));
     match (&l, &r) {
+        (Value::Str(_), Value::Int(_)) | (Value::Int(_), Value::Str(_)) if !fits => {
+            Err(err("string repetition too large", line))
+        }
+        (Value::List(_), Value::Int(_)) | (Value::Int(_), Value::List(_)) if !fits => {
+            Err(err("list repetition too large", line))
+        }
         (Value::Str(s), Value::Int(n)) | (Value::Int(n), Value::Str(s)) => {
-            let n = usize::try_from((*n).max(0)).unwrap_or(0);
-            if s.len().saturating_mul(n) > (64 << 20) {
-                return Err(err("string repetition too large", line));
-            }
-            Ok(Value::Str(s.repeat(n)))
+            Ok(Value::Str(s.repeat(repeat_count(*n))))
         }
         (Value::List(xs), Value::Int(n)) | (Value::Int(n), Value::List(xs)) => {
-            let n = usize::try_from((*n).max(0)).unwrap_or(0);
-            let mut out = Vec::with_capacity(xs.len().saturating_mul(n).min(1 << 20));
-            for _ in 0..n {
-                out.extend(xs.iter().cloned());
-            }
-            Ok(Value::List(out))
+            // It fits, so the product does; an empty list is not walked `n` times.
+            let len = xs.len() * repeat_count(*n);
+            Ok(Value::List(xs.iter().cloned().cycle().take(len).collect()))
         }
         _ => arith(l, r, line, "*", |a, b| a.checked_mul(b), |a, b| a * b),
+    }
+}
+
+/// How many copies `seq * n` makes: none for a negative `n`.
+fn repeat_count(n: i64) -> usize {
+    usize::try_from(n.max(0)).unwrap_or(usize::MAX)
+}
+
+/// What [`Value::approx_size`] will say of `l * r` when that is a repetition
+/// (`str * int` or `list * int`, either order): one header plus `n` copies
+/// of the contents, saturating at `usize::MAX`. `None` for every other
+/// operation. `*` bounds itself by this figure, and the evaluator shows it
+/// to the policy before `*` runs.
+pub(crate) fn repetition_bytes(op: BinOp, l: &Value, r: &Value) -> Option<usize> {
+    match (op, l, r) {
+        (BinOp::Mul, seq @ (Value::Str(_) | Value::List(_)), Value::Int(n))
+        | (BinOp::Mul, Value::Int(n), seq @ (Value::Str(_) | Value::List(_))) => {
+            let contents = seq.approx_size() - 24;
+            Some(contents.saturating_mul(repeat_count(*n)).saturating_add(24))
+        }
+        _ => None,
     }
 }
 
@@ -480,9 +507,16 @@ pub fn call_method(recv: &Value, method: &str, args: Vec<Value>, line: u32) -> L
 // ---------------------------------------------------------------------------
 // Builtin functions
 
+/// `range(start, stop, step)`, lazily; `step` is not zero. A step past the
+/// last i64 is a step past `stop`, so it ends the range.
+pub(crate) fn range_iter(start: i64, stop: i64, step: i64) -> impl Iterator<Item = i64> {
+    let before_stop = move |i: &i64| if step > 0 { *i < stop } else { *i > stop };
+    std::iter::successors(Some(start), move |i| i.checked_add(step)).take_while(before_stop)
+}
+
 /// Dispatch a builtin function by name.
 pub fn call_builtin(
-    ctx: &dyn BuiltinCtx,
+    ctx: &BuiltinCtx<'_>,
     name: &str,
     args: Vec<Value>,
     line: u32,
@@ -507,7 +541,7 @@ pub fn call_builtin(
                 .as_f64()
                 .filter(|s| *s >= 0.0 && s.is_finite())
                 .ok_or_else(|| err("sleep() takes a non-negative number of seconds", line))?;
-            ctx.hooks().sleep(Duration::from_secs_f64(secs));
+            ctx.hooks.sleep(Duration::from_secs_f64(secs));
             Ok(Value::None)
         }
         "stress" => {
@@ -516,12 +550,12 @@ pub fn call_builtin(
                 .as_f64()
                 .filter(|s| *s >= 0.0 && s.is_finite())
                 .ok_or_else(|| err("stress() takes a non-negative number of seconds", line))?;
-            ctx.hooks().stress(Duration::from_secs_f64(secs));
+            ctx.hooks.stress(Duration::from_secs_f64(secs));
             Ok(Value::None)
         }
         "print" => {
             let rendered: Vec<String> = args.iter().map(Value::to_string).collect();
-            ctx.hooks().print(&rendered.join(" "));
+            ctx.hooks.print(&rendered.join(" "));
             Ok(Value::None)
         }
         // --- conversions ---------------------------------------------------
@@ -597,20 +631,15 @@ pub fn call_builtin(
                 [start, stop, step] if *step != 0 => (*start, *stop, *step),
                 _ => return Err(err("range() takes 1 to 3 non-zero-step arguments", line)),
             };
-            let count = if step > 0 {
-                ((stop - start).max(0) as u64).div_ceil(step as u64)
-            } else {
-                ((start - stop).max(0) as u64).div_ceil((-step) as u64)
-            };
+            // The distance to cover in the step's direction; in i128 the span
+            // of any two i64 bounds fits.
+            let span = (stop as i128 - start as i128) * step.signum() as i128;
+            let count = (span.max(0) as u128).div_ceil(step.unsigned_abs() as u128);
             if count > 10_000_000 {
                 return Err(err("materialized range too large (use it in a for loop)", line));
             }
             let mut out = Vec::with_capacity(count as usize);
-            let mut i = start;
-            while (step > 0 && i < stop) || (step < 0 && i > stop) {
-                out.push(Value::Int(i));
-                i += step;
-            }
+            out.extend(range_iter(start, stop, step).map(Value::Int));
             Ok(Value::List(out))
         }
         "sum" => {
@@ -657,7 +686,10 @@ pub fn call_builtin(
         "abs" => {
             need(1)?;
             match &args[0] {
-                Value::Int(i) => Ok(Value::Int(i.abs())),
+                Value::Int(i) => i
+                    .checked_abs()
+                    .map(Value::Int)
+                    .ok_or_else(|| err("integer overflow in abs()", line)),
                 Value::Float(f) => Ok(Value::Float(f.abs())),
                 other => Err(err(format!("bad operand for abs(): {}", other.type_name()), line)),
             }
@@ -939,6 +971,73 @@ def f():
     fn integer_overflow_is_an_error_not_a_panic() {
         let e = run("def f():\n    return 9223372036854775807 + 1\n", "f", &[]).unwrap_err();
         assert!(e.to_string().contains("overflow"));
+
+        // A materialized range whose span does not fit in i64 is counted,
+        // and refused, without wrapping.
+        let wide = "def f():\n    return len(range(-9223372036854775807, 9223372036854775807))\n";
+        assert!(run(wide, "f", &[]).unwrap_err().to_string().contains("range too large"));
+        let down = "def f():\n    return range(9223372036854775807, -9223372036854775807, -1)\n";
+        assert!(run(down, "f", &[]).unwrap_err().to_string().contains("range too large"));
+        // Ranges that end at the edge of i64 stop there, materialized or lazy.
+        assert_eq!(
+            eval1("range(9223372036854775800, 9223372036854775807, 5)"),
+            Value::List(vec![Value::Int(9223372036854775800), Value::Int(9223372036854775805)])
+        );
+        let lazy = "\
+def f():
+    n = 0
+    for i in range(9223372036854775800, 9223372036854775807, 5):
+        n += 1
+    for i in range(-9223372036854775800, -9223372036854775807, -5):
+        n += 1
+    return n
+";
+        assert_eq!(run(lazy, "f", &[]).unwrap(), Value::Int(4));
+
+        // i64::MIN has no negation and no absolute value.
+        let min = "-9223372036854775807 - 1";
+        let e = run(&format!("def f():\n    return -({min})\n"), "f", &[]).unwrap_err();
+        assert!(e.to_string().contains("integer overflow in unary -"), "{e}");
+        let e = run(&format!("def f():\n    return abs({min})\n"), "f", &[]).unwrap_err();
+        assert!(e.to_string().contains("integer overflow in abs()"), "{e}");
+    }
+
+    #[test]
+    fn repetition_is_sized_before_it_is_built() {
+        // Would allocate until the process aborts if the list were built.
+        // The last three have a byte count past `usize::MAX`.
+        for expr in [
+            "[0] * 10**15",
+            "10**15 * [0]",
+            "[[1, 2], 'ab'] * 10**12",
+            "[0, 0, 0] * 2**62",
+            "2**62 * 'aaaa'",
+            "[''] * (2**62 + (2**62 - 1))",
+        ] {
+            let e = run(&format!("def f():\n    return {expr}\n"), "f", &[]).unwrap_err();
+            assert!(e.to_string().contains("size limit"), "{expr}: {e}");
+        }
+        // Called without a policy in front, `*` has its own bound.
+        for (seq, n, what) in [
+            (Value::from(vec![0i64]), 1 << 40, "list"),
+            (Value::from(vec![0i64, 0, 0]), 1 << 62, "list"),
+            (Value::from("aaaa"), 1 << 62, "string"),
+            (Value::from("aaaa"), i64::MAX, "string"),
+        ] {
+            let e = binary_op(BinOp::Mul, Value::Int(n), seq, 1).unwrap_err();
+            assert!(e.to_string().contains(&format!("{what} repetition too large")), "{e}");
+        }
+        // A negative count repeats to nothing.
+        assert_eq!(eval1("[1, 2] * -3"), Value::List(vec![]));
+        assert_eq!(eval1("-(2**62) * 'ab'"), Value::from(""));
+        // An empty list repeats to an empty list at any count.
+        assert_eq!(eval1("[] * 10**15"), Value::List(vec![]));
+        // The estimate is the size the result really has.
+        for (l, r) in [(Value::from("abc"), 7), (Value::from(vec!["a", "bc"]), 3)] {
+            let predicted = repetition_bytes(BinOp::Mul, &l, &Value::Int(r)).unwrap();
+            let built = binary_op(BinOp::Mul, l, Value::Int(r), 1).unwrap();
+            assert_eq!(predicted, built.approx_size());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Tree-walking interpreter for FxScript.
+//! The FxScript evaluator: the one tree-walker every runtime executes on.
 //!
-//! The interpreter is the sandbox the paper gets from containers plus the
+//! The evaluator is the sandbox the paper gets from containers plus the
 //! Python runtime: a function can compute, but cannot touch the host. All
 //! interaction with the outside world goes through [`ExecHooks`]:
 //!
@@ -12,14 +12,20 @@
 //! * `print(line)` — captured per-task, returned with the result (stdout of
 //!   a task in the real system ends up in endpoint logs).
 //!
-//! Execution is bounded by [`Limits`] — fuel (AST steps), recursion depth,
-//! and result size — so a hostile or buggy function cannot wedge a worker.
+//! What bounds an execution is an [`ExecPolicy`], chosen per function by its
+//! `Runtime` tag and dispatched statically. [`ClassicPolicy`] is the FxScript
+//! runtime: the fuel, recursion-depth and value-size checks of [`Limits`],
+//! so a hostile or buggy function cannot wedge a worker. `funcx-sandbox`
+//! supplies the metered, capability-gated policy of the sandbox runtime.
+//! Everything else (binding arguments, control flow, expressions, where
+//! fuel is charged) is this file and exists once.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Duration;
 
 use crate::ast::{AssignOp, AssignTarget, BinOp, Expr, FunctionDef, Program, Stmt, UnOp};
-use crate::builtins;
+use crate::builtins::{self, BuiltinCtx};
 use crate::error::{LangError, LangResult};
 use crate::value::Value;
 
@@ -62,6 +68,96 @@ impl Default for Limits {
     }
 }
 
+/// The decisions a runtime makes while the evaluator walks a program. The
+/// evaluator is generic over the policy, so each runtime's checks are
+/// inlined into its own copy of the walk. FxScript has no `try`/`except`:
+/// the first error a policy returns ends the execution.
+pub trait ExecPolicy {
+    /// Deepest call stack the execution may reach.
+    fn max_depth(&self) -> u32;
+
+    /// Charge one evaluation step at `line`.
+    fn charge(&mut self, line: u32) -> LangResult<()>;
+
+    /// Admit or reject one constructed value of `bytes` approximate bytes.
+    fn check_bytes(&mut self, bytes: usize, line: u32) -> LangResult<()>;
+
+    /// Admit or reject `v`. Only values that can grow are measured; a
+    /// scalar costs one discriminant test.
+    fn check_size(&mut self, v: &Value, line: u32) -> LangResult<()> {
+        if matches!(v, Value::List(_) | Value::Dict(_) | Value::Str(_) | Value::Bytes(_)) {
+            self.check_bytes(v.approx_size(), line)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Bytes `v` holds against the policy's live-memory account, measured
+    /// whenever a variable is bound or mutated in place. A policy that keeps
+    /// no such account returns 0 and the measuring is compiled out.
+    fn live_size(&self, _v: &Value) -> usize {
+        0
+    }
+
+    /// A variable's live bytes went from `old` to `new`.
+    fn mem_swap(&mut self, _old: usize, _new: usize, _line: u32) -> LangResult<()> {
+        Ok(())
+    }
+
+    /// A call frame holding `bytes` live bytes was popped.
+    fn mem_release(&mut self, _bytes: usize) {}
+
+    /// Call the builtin `name` (no `def` of that name is in scope).
+    /// `imports` is the program's import list, which gates module builtins.
+    fn call_builtin(
+        &mut self,
+        imports: &[String],
+        name: &str,
+        args: Vec<Value>,
+        line: u32,
+    ) -> LangResult<Value>;
+}
+
+/// The FxScript runtime's policy: [`Limits`] and nothing else. Builtins
+/// see the worker's hooks directly.
+pub struct ClassicPolicy<'h> {
+    hooks: &'h dyn ExecHooks,
+    limits: Limits,
+    fuel: u64,
+}
+
+impl ExecPolicy for ClassicPolicy<'_> {
+    fn max_depth(&self) -> u32 {
+        self.limits.max_depth
+    }
+
+    fn charge(&mut self, line: u32) -> LangResult<()> {
+        if self.fuel == 0 {
+            return Err(LangError::new("execution fuel exhausted", line));
+        }
+        self.fuel -= 1;
+        Ok(())
+    }
+
+    fn check_bytes(&mut self, bytes: usize, line: u32) -> LangResult<()> {
+        let max = self.limits.max_value_bytes;
+        if bytes <= max {
+            return Ok(());
+        }
+        Err(LangError::new(format!("value exceeds sandbox size limit ({max} bytes)"), line))
+    }
+
+    fn call_builtin(
+        &mut self,
+        imports: &[String],
+        name: &str,
+        args: Vec<Value>,
+        line: u32,
+    ) -> LangResult<Value> {
+        builtins::call_builtin(&BuiltinCtx { hooks: self.hooks, imports }, name, args, line)
+    }
+}
+
 /// Signal threaded through statement execution.
 enum Flow {
     Normal,
@@ -70,22 +166,26 @@ enum Flow {
     Continue,
 }
 
-/// One call frame: local variables plus locally-defined functions.
-pub(crate) struct Frame {
+/// One call frame: local variables, locally-defined functions, and the
+/// live bytes the policy counts for the variables, so that popping the
+/// frame releases them in O(1).
+#[derive(Default)]
+struct Frame {
     vars: HashMap<String, Value>,
     funcs: HashMap<String, FunctionDef>,
+    bytes: usize,
 }
 
-/// The FxScript interpreter. Create one per task execution.
-pub struct Interpreter<'h> {
-    hooks: &'h dyn ExecHooks,
-    limits: Limits,
-    fuel: u64,
+/// The FxScript evaluator. Create one per task execution.
+pub struct Interpreter<'h, P = ClassicPolicy<'h>> {
+    policy: P,
     depth: u32,
-    /// Top-level function definitions from the loaded program.
-    globals: HashMap<String, FunctionDef>,
+    /// Top-level function definitions: built by
+    /// [`load_program`](Self::load_program), or borrowed from a table a
+    /// host prepared ahead of time.
+    globals: Cow<'h, HashMap<String, FunctionDef>>,
     /// Modules the program imported (gates module builtins like `sqrt`).
-    imports: Vec<String>,
+    imports: Cow<'h, [String]>,
     /// Modules available beyond the base whitelist — what the enclosing
     /// container image ships (§4.2).
     extra_modules: Vec<String>,
@@ -102,19 +202,57 @@ pub fn base_modules() -> &'static [&'static str] {
     MODULE_WHITELIST
 }
 
+/// Check `program`'s imports against the base modules plus
+/// `extra_modules`, the ones the enclosing container image ships.
+pub fn check_imports(program: &Program, extra_modules: &[String]) -> LangResult<()> {
+    for m in &program.imports {
+        if !MODULE_WHITELIST.contains(&m.as_str()) && !extra_modules.iter().any(|have| have == m) {
+            return Err(LangError::new(format!("module '{m}' is not available on this worker"), 0));
+        }
+    }
+    Ok(())
+}
+
 impl<'h> Interpreter<'h> {
-    /// New interpreter with the given hooks and limits.
+    /// New FxScript-runtime interpreter with the given hooks and limits.
     pub fn new(hooks: &'h dyn ExecHooks, limits: Limits) -> Self {
         let fuel = limits.max_fuel;
         Interpreter {
-            hooks,
-            limits,
-            fuel,
+            policy: ClassicPolicy { hooks, limits, fuel },
             depth: 0,
-            globals: HashMap::new(),
-            imports: Vec::new(),
+            globals: Cow::Owned(HashMap::new()),
+            imports: Cow::Owned(Vec::new()),
             extra_modules: Vec::new(),
         }
+    }
+
+    /// Remaining fuel (observability for tests).
+    pub fn fuel_remaining(&self) -> u64 {
+        self.policy.fuel
+    }
+}
+
+impl<'h, P: ExecPolicy> Interpreter<'h, P> {
+    /// Interpreter over a program prepared ahead of time: `imports` (the
+    /// caller has checked them, see [`check_imports`]) and the definition
+    /// table are borrowed, so starting an execution copies neither.
+    pub fn prepared(
+        policy: P,
+        imports: &'h [String],
+        globals: &'h HashMap<String, FunctionDef>,
+    ) -> Self {
+        Interpreter {
+            policy,
+            depth: 0,
+            globals: Cow::Borrowed(globals),
+            imports: Cow::Borrowed(imports),
+            extra_modules: Vec::new(),
+        }
+    }
+
+    /// The policy, for reading its meters or adjusting it around a call.
+    pub fn policy_mut(&mut self) -> &mut P {
+        &mut self.policy
     }
 
     /// Declare modules available beyond the base whitelist — what the
@@ -128,40 +266,13 @@ impl<'h> Interpreter<'h> {
     /// any container-provided modules) and register its top-level
     /// definitions.
     pub fn load_program(&mut self, program: &Program) -> LangResult<()> {
-        for m in &program.imports {
-            if !MODULE_WHITELIST.contains(&m.as_str())
-                && !self.extra_modules.iter().any(|have| have == m)
-            {
-                return Err(LangError::new(
-                    format!("module '{m}' is not available on this worker"),
-                    0,
-                ));
-            }
-        }
-        self.imports = program.imports.clone();
+        check_imports(program, &self.extra_modules)?;
+        self.imports = Cow::Owned(program.imports.clone());
+        let globals = self.globals.to_mut();
         for def in &program.defs {
-            self.globals.insert(def.name.clone(), def.clone());
+            globals.insert(def.name.clone(), def.clone());
         }
         Ok(())
-    }
-
-    /// True if the program imported `module`.
-    pub fn imported(&self, module: &str) -> bool {
-        self.imports.iter().any(|m| m == module)
-    }
-
-    /// Host hooks (builtins route sleep/stress/print through these).
-    pub fn hooks(&self) -> &dyn ExecHooks {
-        self.hooks
-    }
-
-    /// Remaining fuel (observability for tests).
-    pub fn fuel_remaining(&self) -> u64 {
-        self.fuel
-    }
-
-    fn builtin_ctx(&self) -> &dyn builtins::BuiltinCtx {
-        self
     }
 
     /// Invoke a loaded top-level function.
@@ -179,25 +290,14 @@ impl<'h> Interpreter<'h> {
         self.invoke(&def, args.to_vec(), kwargs.to_vec()).map_err(|e| e.in_function(name))
     }
 
-    fn charge(&mut self, line: u32) -> LangResult<()> {
-        if self.fuel == 0 {
-            return Err(LangError::new("execution fuel exhausted", line));
-        }
-        self.fuel -= 1;
-        Ok(())
-    }
-
-    fn check_size(&self, v: &Value, line: u32) -> LangResult<()> {
-        // Cheap pre-filter: only deep-measure containers.
-        if matches!(v, Value::List(_) | Value::Dict(_) | Value::Str(_) | Value::Bytes(_))
-            && v.approx_size() > self.limits.max_value_bytes
-        {
-            return Err(LangError::new(
-                format!("value exceeds sandbox size limit ({} bytes)", self.limits.max_value_bytes),
-                line,
-            ));
-        }
-        Ok(())
+    /// Bind a variable in `frame`, keeping the policy's live-byte account
+    /// and the frame's running total in step.
+    fn bind(&mut self, frame: &mut Frame, name: &str, value: Value, line: u32) -> LangResult<()> {
+        let new = self.policy.live_size(&value);
+        let replaced = frame.vars.insert(name.to_string(), value);
+        let old = replaced.map_or(0, |v| self.policy.live_size(&v));
+        frame.bytes = frame.bytes.saturating_sub(old) + new;
+        self.policy.mem_swap(old, new, line)
     }
 
     /// Bind arguments to parameters and execute a function body.
@@ -207,7 +307,7 @@ impl<'h> Interpreter<'h> {
         args: Vec<Value>,
         kwargs: Vec<(String, Value)>,
     ) -> LangResult<Value> {
-        if self.depth >= self.limits.max_depth {
+        if self.depth >= self.policy.max_depth() {
             return Err(LangError::new("maximum call depth exceeded", def.line));
         }
         if args.len() > def.params.len() {
@@ -221,7 +321,7 @@ impl<'h> Interpreter<'h> {
                 def.line,
             ));
         }
-        let mut frame = Frame { vars: HashMap::new(), funcs: HashMap::new() };
+        let mut frame = Frame::default();
         let mut args_iter = args.into_iter();
         for param in &def.params {
             if let Some(v) = args_iter.next() {
@@ -231,7 +331,7 @@ impl<'h> Interpreter<'h> {
                         def.line,
                     ));
                 }
-                frame.vars.insert(param.name.clone(), v);
+                self.bind(&mut frame, &param.name, v, def.line)?;
             }
         }
         for (k, v) in &kwargs {
@@ -247,7 +347,7 @@ impl<'h> Interpreter<'h> {
                     def.line,
                 ));
             }
-            frame.vars.insert(k.clone(), v.clone());
+            self.bind(&mut frame, k, v.clone(), def.line)?;
         }
         // Defaults for anything still unbound.
         for param in &def.params {
@@ -255,7 +355,7 @@ impl<'h> Interpreter<'h> {
                 match &param.default {
                     Some(expr) => {
                         let v = self.eval(expr, &mut frame)?;
-                        frame.vars.insert(param.name.clone(), v);
+                        self.bind(&mut frame, &param.name, v, def.line)?;
                     }
                     None => {
                         return Err(LangError::new(
@@ -269,6 +369,9 @@ impl<'h> Interpreter<'h> {
         self.depth += 1;
         let result = self.exec_block(&def.body, &mut frame);
         self.depth -= 1;
+        // An error on the way here ended the execution; there is nothing
+        // left to release the frame for.
+        self.policy.mem_release(frame.bytes);
         match result? {
             Flow::Return(v) => Ok(v),
             Flow::Normal => Ok(Value::None),
@@ -292,11 +395,11 @@ impl<'h> Interpreter<'h> {
         match stmt {
             Stmt::Pass => Ok(Flow::Normal),
             Stmt::Break { line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 Ok(Flow::Break)
             }
             Stmt::Continue { line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 Ok(Flow::Continue)
             }
             Stmt::Expr(e) => {
@@ -304,7 +407,7 @@ impl<'h> Interpreter<'h> {
                 Ok(Flow::Normal)
             }
             Stmt::Return { value, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 let v = match value {
                     Some(e) => self.eval(e, frame)?,
                     None => Value::None,
@@ -316,7 +419,7 @@ impl<'h> Interpreter<'h> {
                 Ok(Flow::Normal)
             }
             Stmt::Assign { target, op, value, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 let rhs = self.eval(value, frame)?;
                 match target {
                     AssignTarget::Name(name) => {
@@ -331,8 +434,8 @@ impl<'h> Interpreter<'h> {
                                 builtins::binary_op(bop, old, rhs, *line)?
                             }
                         };
-                        self.check_size(&new, *line)?;
-                        frame.vars.insert(name.clone(), new);
+                        self.policy.check_size(&new, *line)?;
+                        self.bind(frame, name, new, *line)?;
                     }
                     AssignTarget::Index { container, index } => {
                         // Only `name[index] = v` is supported as a store
@@ -359,13 +462,17 @@ impl<'h> Interpreter<'h> {
                                 builtins::binary_op(bop, old, rhs, *line)?
                             }
                         };
+                        let before = self.policy.live_size(slot);
                         builtins::index_set(slot, &idx, new, *line)?;
+                        let after = self.policy.live_size(slot);
+                        frame.bytes = frame.bytes.saturating_sub(before) + after;
+                        self.policy.mem_swap(before, after, *line)?;
                     }
                 }
                 Ok(Flow::Normal)
             }
             Stmt::If { branches, otherwise, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 for (cond, body) in branches {
                     if self.eval(cond, frame)?.truthy() {
                         return self.exec_block(body, frame);
@@ -379,7 +486,7 @@ impl<'h> Interpreter<'h> {
             }
             Stmt::While { cond, body, line } => {
                 loop {
-                    self.charge(*line)?;
+                    self.policy.charge(*line)?;
                     if !self.eval(cond, frame)?.truthy() {
                         break;
                     }
@@ -392,17 +499,17 @@ impl<'h> Interpreter<'h> {
                 Ok(Flow::Normal)
             }
             Stmt::For { var, iterable, body, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 // Lazy path for `for i in range(...)` so large ranges don't
                 // materialize a list.
                 if let Expr::Call { callee, args, kwargs, .. } = iterable {
                     if callee == "range" && kwargs.is_empty() {
                         let (start, stop, step) = self.eval_range_args(args, frame, *line)?;
-                        return self.run_for_range(var, start, stop, step, body, frame, *line);
+                        let items = builtins::range_iter(start, stop, step).map(Value::Int);
+                        return self.run_for(var, items, body, frame, *line);
                     }
                 }
-                let iter_v = self.eval(iterable, frame)?;
-                let items: Vec<Value> = match iter_v {
+                let items: Vec<Value> = match self.eval(iterable, frame)? {
                     Value::List(items) => items,
                     Value::Str(s) => s.chars().map(|c| Value::Str(c.to_string())).collect(),
                     Value::Dict(pairs) => pairs.into_iter().map(|(k, _)| Value::Str(k)).collect(),
@@ -413,16 +520,7 @@ impl<'h> Interpreter<'h> {
                         ))
                     }
                 };
-                for item in items {
-                    self.charge(*line)?;
-                    frame.vars.insert(var.clone(), item);
-                    match self.exec_block(body, frame)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
+                self.run_for(var, items.into_iter(), body, frame, *line)
             }
         }
     }
@@ -450,32 +548,29 @@ impl<'h> Interpreter<'h> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_for_range(
+    /// The body of a `for`, once per item, charged and bound the same way
+    /// whatever the items come from.
+    fn run_for(
         &mut self,
         var: &str,
-        start: i64,
-        stop: i64,
-        step: i64,
+        items: impl Iterator<Item = Value>,
         body: &[Stmt],
         frame: &mut Frame,
         line: u32,
     ) -> LangResult<Flow> {
-        let mut i = start;
-        while (step > 0 && i < stop) || (step < 0 && i > stop) {
-            self.charge(line)?;
-            frame.vars.insert(var.to_string(), Value::Int(i));
+        for item in items {
+            self.policy.charge(line)?;
+            self.bind(frame, var, item, line)?;
             match self.exec_block(body, frame)? {
                 Flow::Normal | Flow::Continue => {}
                 Flow::Break => break,
                 ret @ Flow::Return(_) => return Ok(ret),
             }
-            i += step;
         }
         Ok(Flow::Normal)
     }
 
-    pub(crate) fn eval(&mut self, expr: &Expr, frame: &mut Frame) -> LangResult<Value> {
+    fn eval(&mut self, expr: &Expr, frame: &mut Frame) -> LangResult<Value> {
         match expr {
             Expr::Int(v) => Ok(Value::Int(*v)),
             Expr::Float(v) => Ok(Value::Float(*v)),
@@ -483,7 +578,7 @@ impl<'h> Interpreter<'h> {
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::None => Ok(Value::None),
             Expr::Name { name, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 frame
                     .vars
                     .get(name)
@@ -494,7 +589,7 @@ impl<'h> Interpreter<'h> {
                 let vals: Vec<Value> =
                     items.iter().map(|e| self.eval(e, frame)).collect::<LangResult<_>>()?;
                 let v = Value::List(vals);
-                self.check_size(&v, 0)?;
+                self.policy.check_size(&v, 0)?;
                 Ok(v)
             }
             Expr::Dict(pairs) => {
@@ -505,16 +600,19 @@ impl<'h> Interpreter<'h> {
                     out.push((key, val));
                 }
                 let v = Value::Dict(out);
-                self.check_size(&v, 0)?;
+                self.policy.check_size(&v, 0)?;
                 Ok(v)
             }
             Expr::Unary { op, operand, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 let v = self.eval(operand, frame)?;
                 match op {
                     UnOp::Not => Ok(Value::Bool(!v.truthy())),
                     UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Int(i) => i
+                            .checked_neg()
+                            .map(Value::Int)
+                            .ok_or_else(|| LangError::new("integer overflow in unary -", *line)),
                         Value::Float(f) => Ok(Value::Float(-f)),
                         other => Err(LangError::new(
                             format!("bad operand type for unary -: '{}'", other.type_name()),
@@ -524,7 +622,7 @@ impl<'h> Interpreter<'h> {
                 }
             }
             Expr::Binary { op, lhs, rhs, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 // Short-circuit logic operators.
                 match op {
                     BinOp::And => {
@@ -545,12 +643,17 @@ impl<'h> Interpreter<'h> {
                 }
                 let l = self.eval(lhs, frame)?;
                 let r = self.eval(rhs, frame)?;
+                // A repetition is sized before it is built: `[0] * 10**15`
+                // must meet the size limit, not the allocator.
+                if let Some(bytes) = builtins::repetition_bytes(*op, &l, &r) {
+                    self.policy.check_bytes(bytes, *line)?;
+                }
                 let v = builtins::binary_op(*op, l, r, *line)?;
-                self.check_size(&v, *line)?;
+                self.policy.check_size(&v, *line)?;
                 Ok(v)
             }
             Expr::Index { container, index, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 let c = self.eval(container, frame)?;
                 let i = self.eval(index, frame)?;
                 builtins::index_get(&c, &i, *line)
@@ -563,7 +666,7 @@ impl<'h> Interpreter<'h> {
                 }
             }
             Expr::MethodCall { receiver, method, args, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 // `name.append(x)` and friends mutate in place when the
                 // receiver is a plain variable.
                 let arg_vals: Vec<Value> =
@@ -573,8 +676,12 @@ impl<'h> Interpreter<'h> {
                         let slot = frame.vars.get_mut(name).ok_or_else(|| {
                             LangError::new(format!("name '{name}' is not defined"), *line)
                         })?;
+                        let before = self.policy.live_size(slot);
                         let out = builtins::call_mutating_method(slot, method, arg_vals, *line)?;
-                        self.check_size(slot, *line)?;
+                        let after = self.policy.live_size(slot);
+                        self.policy.check_size(slot, *line)?;
+                        frame.bytes = frame.bytes.saturating_sub(before) + after;
+                        self.policy.mem_swap(before, after, *line)?;
                         return Ok(out);
                     }
                 }
@@ -582,7 +689,7 @@ impl<'h> Interpreter<'h> {
                 builtins::call_method(&recv, method, arg_vals, *line)
             }
             Expr::Call { callee, args, kwargs, line } => {
-                self.charge(*line)?;
+                self.policy.charge(*line)?;
                 let arg_vals: Vec<Value> =
                     args.iter().map(|e| self.eval(e, frame)).collect::<LangResult<_>>()?;
                 let kwarg_vals: Vec<(String, Value)> = kwargs
@@ -590,12 +697,8 @@ impl<'h> Interpreter<'h> {
                     .map(|(k, e)| Ok((k.clone(), self.eval(e, frame)?)))
                     .collect::<LangResult<_>>()?;
                 // Resolution order: local defs, global defs, builtins.
-                if let Some(def) = frame.funcs.get(callee).cloned() {
-                    return self
-                        .invoke(&def, arg_vals, kwarg_vals)
-                        .map_err(|e| e.in_function(callee));
-                }
-                if let Some(def) = self.globals.get(callee).cloned() {
+                let def = frame.funcs.get(callee).or_else(|| self.globals.get(callee));
+                if let Some(def) = def.cloned() {
                     return self
                         .invoke(&def, arg_vals, kwarg_vals)
                         .map_err(|e| e.in_function(callee));
@@ -606,19 +709,9 @@ impl<'h> Interpreter<'h> {
                         *line,
                     ));
                 }
-                builtins::call_builtin(self.builtin_ctx(), callee, arg_vals, *line)
+                self.policy.call_builtin(&self.imports, callee, arg_vals, *line)
             }
         }
-    }
-}
-
-impl builtins::BuiltinCtx for Interpreter<'_> {
-    fn hooks(&self) -> &dyn ExecHooks {
-        Interpreter::hooks(self)
-    }
-
-    fn imported(&self, module: &str) -> bool {
-        Interpreter::imported(self, module)
     }
 }
 

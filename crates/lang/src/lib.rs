@@ -43,7 +43,7 @@ pub mod value;
 
 pub use builtins::BuiltinCtx;
 pub use error::{LangError, LangResult};
-pub use interp::{ExecHooks, Interpreter, Limits, NoopHooks};
+pub use interp::{ClassicPolicy, ExecHooks, ExecPolicy, Interpreter, Limits, NoopHooks};
 pub use value::Value;
 
 use ast::Program;

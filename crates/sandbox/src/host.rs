@@ -23,14 +23,15 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use funcx_lang::ast::{FunctionDef, Program};
-use funcx_lang::{ExecHooks, LangError, Value};
+use funcx_lang::interp::check_imports;
+use funcx_lang::{ExecHooks, Value};
 use funcx_telemetry::WindowedCounter;
 use funcx_types::hash::fnv1a;
 use funcx_types::time::{SharedClock, VirtualDuration, VirtualInstant};
 use funcx_types::{Capability, TaskLimits};
 use parking_lot::Mutex;
 
-use crate::meter::{CapKind, SandboxError, SandboxLimits, SandboxResult};
+use crate::meter::{CapKind, SandboxLimits, SandboxResult};
 use crate::session::{SessionStore, DEFAULT_SESSION_TTL};
 use crate::vm;
 
@@ -308,19 +309,6 @@ impl SandboxHost {
         counter.inc();
     }
 
-    fn validate_imports(program: &Program, extra_modules: &[String]) -> SandboxResult<()> {
-        let base = funcx_lang::interp::base_modules();
-        for m in &program.imports {
-            if !base.contains(&m.as_str()) && !extra_modules.iter().any(|have| have == m) {
-                return Err(SandboxError::from(LangError::new(
-                    format!("module '{m}' is not available on this worker"),
-                    0,
-                )));
-            }
-        }
-        Ok(())
-    }
-
     fn compile(key: u64, source: &str) -> SandboxResult<PreparedEnv> {
         let program = funcx_lang::parse(source)?;
         let globals: HashMap<String, FunctionDef> =
@@ -355,7 +343,7 @@ impl SandboxHost {
             if let Some(entry) = inner.idle.get_mut(&key).and_then(|q| q.pop_back()) {
                 inner.idle_total -= 1;
                 drop(inner);
-                Self::validate_imports(&entry.env.program, extra_modules)?;
+                check_imports(&entry.env.program, extra_modules)?;
                 let tier = match entry.provenance {
                     Provenance::Released => SessionTier::Warm,
                     Provenance::Preminted => SessionTier::Predicted,
@@ -372,7 +360,7 @@ impl SandboxHost {
         // Layer 2: mint from the cached compiled program.
         if let Some(cached) = inner.programs.get(&key).cloned() {
             drop(inner);
-            Self::validate_imports(&cached.program, extra_modules)?;
+            check_imports(&cached.program, extra_modules)?;
             self.stats.lock().clone_hits += 1;
             return Ok(EnvLease {
                 env: cached,
@@ -387,7 +375,7 @@ impl SandboxHost {
         stats.cold_misses += 1;
         drop(stats);
         let env = Self::compile(key, source)?;
-        Self::validate_imports(&env.program, extra_modules)?;
+        check_imports(&env.program, extra_modules)?;
         let mut inner = self.inner.lock();
         if inner.programs.insert(key, env.clone()).is_none() {
             self.stats.lock().compiles += 1;
@@ -452,36 +440,21 @@ impl SandboxHost {
             self.clock.sleep(lease.cost);
         }
         let limits = self.config.default_limits.overlaid(&req.limits);
-        let result = match req.session {
-            Some(key) => {
-                let cell = self.sessions.checkout(key);
-                let mut state = cell.lock();
-                vm::run_program(
-                    &lease.env.program,
-                    &lease.env.globals,
-                    req.entry,
-                    req.args,
-                    req.kwargs,
-                    limits,
-                    req.capabilities,
-                    Some(&mut state),
-                    req.hooks,
-                    Arc::clone(&self.clock),
-                )
-            }
-            None => vm::run_program(
-                &lease.env.program,
-                &lease.env.globals,
-                req.entry,
-                req.args,
-                req.kwargs,
-                limits,
-                req.capabilities,
-                None,
-                req.hooks,
-                Arc::clone(&self.clock),
-            ),
-        };
+        let cell = req.session.map(|key| self.sessions.checkout(key));
+        let mut state = cell.as_ref().map(|cell| cell.lock());
+        let result = vm::run_program(
+            &lease.env.program,
+            &lease.env.globals,
+            req.entry,
+            req.args,
+            req.kwargs,
+            limits,
+            req.capabilities,
+            state.as_deref_mut(),
+            req.hooks,
+            Arc::clone(&self.clock),
+        );
+        drop(state);
         let tier = lease.tier;
         self.release(lease.env);
         let mut stats = self.stats.lock();

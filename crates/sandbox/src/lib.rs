@@ -1,11 +1,13 @@
-//! funcx-sandbox — the second execution runtime of funcX-rs.
+//! funcx-sandbox — the sandbox runtime of funcX-rs.
 //!
 //! The original funcX executes every function the same way: Python source
 //! inside a warm container (§4.2). The follow-on production system treats
 //! the execution engine itself as a negotiable, per-function property. This
-//! crate is that second engine for funcX-rs: an **embedded sandbox VM**
-//! that runs the same FxScript surface as `funcx-lang` but under a much
-//! stricter contract:
+//! crate is that second choice for funcX-rs. It is not a second
+//! implementation of the language: FxScript is evaluated by the one
+//! `funcx_lang::Interpreter`, and the sandbox is the [`vm`] policy that
+//! interpreter runs under, plus a host around it. The contract is much
+//! stricter than the FxScript runtime's:
 //!
 //! * **Pre-initialized session pools** ([`SandboxHost`]) — acquisition is
 //!   tiered (warm / predicted / clone / cold) exactly like the container

@@ -221,16 +221,10 @@ impl Meter {
         Ok(())
     }
 
-    /// Per-value size cap (FxScript's classic sandbox size check).
-    pub fn check_value_size(&self, v: &funcx_lang::Value, line: u32) -> SandboxResult<()> {
-        if matches!(
-            v,
-            funcx_lang::Value::List(_)
-                | funcx_lang::Value::Dict(_)
-                | funcx_lang::Value::Str(_)
-                | funcx_lang::Value::Bytes(_)
-        ) && v.approx_size() > self.limits.max_value_bytes
-        {
+    /// Per-value size cap (FxScript's classic sandbox size check) on a value
+    /// of `bytes` approximate bytes.
+    pub fn check_value_size(&self, bytes: usize, line: u32) -> SandboxResult<()> {
+        if bytes > self.limits.max_value_bytes {
             return Err(SandboxError::cap(
                 CapKind::Memory,
                 format!("value exceeds sandbox size limit ({} bytes)", self.limits.max_value_bytes),

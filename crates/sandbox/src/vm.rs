@@ -1,20 +1,19 @@
-//! The sandbox VM: a metered tree-walking evaluator over the shared
-//! FxScript AST.
+//! The sandbox runtime's execution policy.
 //!
-//! This is funcX-rs's *second* execution runtime. It reuses the language
-//! surface of `funcx-lang` — parser, AST, values, operators, and builtin
-//! dispatch — but executes under a [`Meter`] that enforces hard caps the
-//! classic interpreter does not have (live-heap accounting, a virtual-time
-//! deadline, an output budget) and under a **deny-by-default capability
-//! policy**:
+//! The sandbox is not a second engine: it runs FxScript on the one
+//! evaluator, [`funcx_lang::Interpreter`], and this module is the
+//! [`ExecPolicy`] that evaluator consults. The policy enforces, through a
+//! [`Meter`], hard caps the FxScript runtime does not have (live-heap
+//! accounting, a virtual-time deadline, an output budget), and dispatches
+//! builtins **deny-by-default**:
 //!
 //! * `sleep`/`stress` require [`Capability::Clock`];
 //! * `session_get`/`session_set`/`session_clear` require
 //!   [`Capability::Session`] *and* a bound session;
 //! * every other builtin is dispatched through the shared builtin table
 //!   with **no-op hooks**, so even a builtin with side effects added to
-//!   `funcx-lang` later is inert here unless this VM explicitly gates and
-//!   forwards it.
+//!   `funcx-lang` later is inert here unless this policy explicitly gates
+//!   and forwards it.
 //!
 //! Cap violations kill the execution with a cap-specific traceback prefix
 //! (see [`CapKind`]) so the client can tell "my function is wrong" from
@@ -22,47 +21,16 @@
 
 use std::collections::HashMap;
 
-use funcx_lang::ast::{AssignOp, AssignTarget, BinOp, Expr, FunctionDef, Program, Stmt, UnOp};
-use funcx_lang::{builtins, BuiltinCtx, ExecHooks, LangError, NoopHooks, Value};
+use funcx_lang::ast::{FunctionDef, Program};
+use funcx_lang::{
+    builtins, BuiltinCtx, ExecHooks, ExecPolicy, Interpreter, LangError, LangResult, NoopHooks,
+    Value,
+};
 use funcx_types::time::SharedClock;
 use funcx_types::Capability;
 
 use crate::meter::{CapKind, Meter, SandboxError, SandboxLimits, SandboxResult};
 use crate::session::SessionState;
-
-/// Hooks handed to delegated (un-gated) builtins: all effects discarded.
-static INERT_HOOKS: NoopHooks = NoopHooks;
-
-/// Builtin context for delegated dispatch — inert hooks, real imports.
-struct InertCtx<'a> {
-    imports: &'a [String],
-}
-
-impl BuiltinCtx for InertCtx<'_> {
-    fn hooks(&self) -> &dyn ExecHooks {
-        &INERT_HOOKS
-    }
-
-    fn imported(&self, module: &str) -> bool {
-        self.imports.iter().any(|m| m == module)
-    }
-}
-
-/// Builtin context for capability-granted effects — real hooks.
-struct HookedCtx<'a> {
-    hooks: &'a dyn ExecHooks,
-    imports: &'a [String],
-}
-
-impl BuiltinCtx for HookedCtx<'_> {
-    fn hooks(&self) -> &dyn ExecHooks {
-        self.hooks
-    }
-
-    fn imported(&self, module: &str) -> bool {
-        self.imports.iter().any(|m| m == module)
-    }
-}
 
 /// What a completed execution reports back, beyond the value: the meter
 /// readings that feed stats and the bench.
@@ -78,41 +46,169 @@ pub struct ExecOutcome {
     pub output_bytes: usize,
 }
 
-/// Signal threaded through statement execution.
-enum Flow {
-    Normal,
-    Return(Value),
-    Break,
-    Continue,
-}
-
-/// One call frame, with its running live-byte total so a pop releases the
-/// whole frame from the meter in O(1).
-#[derive(Default)]
-struct Frame {
-    vars: HashMap<String, Value>,
-    funcs: HashMap<String, FunctionDef>,
-    bytes: usize,
-}
-
-/// The metered evaluator. Create per execution via [`run_program`].
-struct SandboxVm<'a> {
+/// The policy of one sandbox execution. Create per execution via
+/// [`run_program`].
+struct Metered<'a> {
     meter: Meter,
     hooks: &'a dyn ExecHooks,
     caps: &'a [Capability],
-    globals: &'a HashMap<String, FunctionDef>,
-    imports: &'a [String],
     session: Option<&'a mut SessionState>,
     /// Bytes the bound session currently holds against the meter.
     session_live: usize,
-    depth: u32,
+    /// The cap behind the error this policy returned. The evaluator carries
+    /// plain [`LangError`]s and FxScript cannot catch one, so the first cap
+    /// error is the execution's error and this is its kind.
+    killed: Option<CapKind>,
+}
+
+impl Metered<'_> {
+    /// Hand a cap violation to the evaluator, remembering which cap it was.
+    fn kill(&mut self, e: SandboxError) -> LangError {
+        self.killed = e.kind;
+        e.error
+    }
+
+    fn deny(&mut self, message: String, line: u32) -> LangError {
+        self.kill(SandboxError::cap(CapKind::Capability, message, line))
+    }
+
+    fn require_cap(&mut self, cap: Capability, what: &str, line: u32) -> LangResult<()> {
+        if self.caps.contains(&cap) {
+            Ok(())
+        } else {
+            Err(self.deny(format!("'{}' capability required for {what}()", cap.as_str()), line))
+        }
+    }
+
+    fn session_builtin(&mut self, name: &str, args: Vec<Value>, line: u32) -> LangResult<Value> {
+        if self.session.is_none() {
+            let message = format!("{name}() requires the function to be registered with a session");
+            return Err(self.deny(message, line));
+        }
+        let key_of = |v: &Value| -> LangResult<String> {
+            match v {
+                Value::Str(s) => Ok(s.clone()),
+                other => Err(LangError::new(
+                    format!("session key must be a str, got {}", other.type_name()),
+                    line,
+                )),
+            }
+        };
+        match name {
+            "session_get" => {
+                let (key, default) = match args.as_slice() {
+                    [k] => (key_of(k)?, Value::None),
+                    [k, d] => (key_of(k)?, d.clone()),
+                    _ => {
+                        return Err(LangError::new(
+                            "session_get() takes a key and optional default",
+                            line,
+                        ))
+                    }
+                };
+                let state = self.session.as_deref().expect("checked above");
+                Ok(state.get(&key).cloned().unwrap_or(default))
+            }
+            "session_set" => {
+                let [k, v] = args.as_slice() else {
+                    return Err(LangError::new("session_set() takes a key and a value", line));
+                };
+                let key = key_of(k)?;
+                self.check_size(v, line)?;
+                let state = self.session.as_deref_mut().expect("checked above");
+                let before = state.approx_size();
+                state.set(key, v.clone());
+                let after = state.approx_size();
+                self.session_live = after;
+                self.mem_swap(before, after, line)?;
+                Ok(Value::None)
+            }
+            "session_clear" => {
+                if !args.is_empty() {
+                    return Err(LangError::new("session_clear() takes no arguments", line));
+                }
+                let state = self.session.as_deref_mut().expect("checked above");
+                let released = state.clear();
+                self.session_live = 0;
+                self.meter.mem_release(released);
+                Ok(Value::None)
+            }
+            _ => unreachable!("gated dispatch only routes session builtins here"),
+        }
+    }
+}
+
+impl ExecPolicy for Metered<'_> {
+    fn max_depth(&self) -> u32 {
+        self.meter.limits().max_depth
+    }
+
+    fn charge(&mut self, line: u32) -> LangResult<()> {
+        self.meter.charge(line).map_err(|e| self.kill(e))
+    }
+
+    fn check_bytes(&mut self, bytes: usize, line: u32) -> LangResult<()> {
+        self.meter.check_value_size(bytes, line).map_err(|e| self.kill(e))
+    }
+
+    fn live_size(&self, v: &Value) -> usize {
+        v.approx_size()
+    }
+
+    fn mem_swap(&mut self, old: usize, new: usize, line: u32) -> LangResult<()> {
+        self.meter.mem_swap(old, new, line).map_err(|e| self.kill(e))
+    }
+
+    fn mem_release(&mut self, bytes: usize) {
+        self.meter.mem_release(bytes);
+    }
+
+    /// Effectful builtins are intercepted and gated; the rest delegate with
+    /// inert hooks.
+    fn call_builtin(
+        &mut self,
+        imports: &[String],
+        name: &str,
+        args: Vec<Value>,
+        line: u32,
+    ) -> LangResult<Value> {
+        match name {
+            "sleep" | "stress" => {
+                self.require_cap(Capability::Clock, name, line)?;
+                let ctx = BuiltinCtx { hooks: self.hooks, imports };
+                let out = builtins::call_builtin(&ctx, name, args, line)?;
+                // The hook advanced virtual time; the deadline may have
+                // lapsed mid-sleep.
+                self.meter.check_deadline(line).map_err(|e| self.kill(e))?;
+                Ok(out)
+            }
+            "print" => {
+                let rendered: Vec<String> = args.iter().map(Value::to_string).collect();
+                let joined = rendered.join(" ");
+                self.meter.charge_output(joined.len() + 1, line).map_err(|e| self.kill(e))?;
+                self.hooks.print(&joined);
+                Ok(Value::None)
+            }
+            "session_get" | "session_set" | "session_clear" => {
+                self.require_cap(Capability::Session, name, line)?;
+                self.session_builtin(name, args, line)
+            }
+            _ => {
+                let ctx = BuiltinCtx { hooks: &NoopHooks, imports };
+                let v = builtins::call_builtin(&ctx, name, args, line)?;
+                self.check_size(&v, line)?;
+                Ok(v)
+            }
+        }
+    }
 }
 
 /// Execute `entry` from a prepared program under sandbox metering.
 ///
 /// `globals` is the pre-built definition table (the per-session prepared
-/// state the host pools); `session`, when present, is the function's named
-/// persistent store, locked by the caller for the duration of the call.
+/// state the host pools), which the evaluator borrows; `session`, when
+/// present, is the function's named persistent store, locked by the caller
+/// for the duration of the call.
 #[allow(clippy::too_many_arguments)]
 pub fn run_program(
     program: &Program,
@@ -126,607 +222,38 @@ pub fn run_program(
     hooks: &dyn ExecHooks,
     clock: SharedClock,
 ) -> SandboxResult<ExecOutcome> {
-    let def = globals.get(entry).cloned().ok_or_else(|| {
-        SandboxError::from(LangError::new(format!("no such function '{entry}'"), 0))
-    })?;
-    let mut vm = SandboxVm {
+    let policy = Metered {
         meter: Meter::start(limits, clock),
         hooks,
         caps,
-        globals,
-        imports: &program.imports,
         session,
         session_live: 0,
-        depth: 0,
+        killed: None,
     };
-    // A bound session's resident state counts against the memory cap for
-    // the whole execution — warm state is not free memory.
-    if let Some(state) = vm.session.as_deref() {
-        let resident = state.approx_size();
-        vm.session_live = resident;
-        vm.meter.mem_swap(0, resident, 0)?;
-    }
-    let value =
-        vm.invoke(&def, args.to_vec(), kwargs.to_vec()).map_err(|e| e.in_function(entry))?;
-    vm.meter.check_value_size(&value, 0)?;
-    if let Some(state) = vm.session.as_deref_mut() {
-        state.note_exec();
-    }
-    vm.meter.mem_release(vm.session_live);
-    Ok(ExecOutcome {
-        value,
-        fuel_used: vm.meter.fuel_used(),
-        mem_high_water: vm.meter.high_water(),
-        output_bytes: vm.meter.output_used(),
-    })
-}
-
-impl SandboxVm<'_> {
-    fn require_cap(&self, cap: Capability, what: &str, line: u32) -> SandboxResult<()> {
-        if self.caps.contains(&cap) {
-            Ok(())
-        } else {
-            Err(SandboxError::cap(
-                CapKind::Capability,
-                format!("'{}' capability required for {what}()", cap.as_str()),
-                line,
-            ))
+    let mut vm = Interpreter::prepared(policy, &program.imports, globals);
+    let mut call = || -> LangResult<ExecOutcome> {
+        // A bound session's resident state counts against the memory cap
+        // for the whole execution — warm state is not free memory.
+        let policy = vm.policy_mut();
+        if let Some(state) = policy.session.as_deref() {
+            policy.session_live = state.approx_size();
+            policy.mem_swap(0, policy.session_live, 0)?;
         }
-    }
-
-    /// Bind a variable in `frame`, keeping the meter and the frame's
-    /// running byte total in sync.
-    fn bind(
-        &mut self,
-        frame: &mut Frame,
-        name: &str,
-        value: Value,
-        line: u32,
-    ) -> SandboxResult<()> {
-        let new = value.approx_size();
-        let old = frame.vars.get(name).map(Value::approx_size).unwrap_or(0);
-        self.meter.mem_swap(old, new, line)?;
-        frame.bytes = frame.bytes.saturating_sub(old) + new;
-        frame.vars.insert(name.to_string(), value);
-        Ok(())
-    }
-
-    /// Bind arguments to parameters and execute a function body.
-    fn invoke(
-        &mut self,
-        def: &FunctionDef,
-        args: Vec<Value>,
-        kwargs: Vec<(String, Value)>,
-    ) -> SandboxResult<Value> {
-        if self.depth >= self.meter.limits().max_depth {
-            return Err(LangError::new("maximum call depth exceeded", def.line).into());
+        let value = vm.call_function(entry, args, kwargs)?;
+        let policy = vm.policy_mut();
+        policy.check_size(&value, 0)?;
+        if let Some(state) = policy.session.as_deref_mut() {
+            state.note_exec();
         }
-        let mut frame = Frame::default();
-        let result = self.invoke_in(def, args, kwargs, &mut frame);
-        self.meter.mem_release(frame.bytes);
-        result
-    }
-
-    fn invoke_in(
-        &mut self,
-        def: &FunctionDef,
-        args: Vec<Value>,
-        kwargs: Vec<(String, Value)>,
-        frame: &mut Frame,
-    ) -> SandboxResult<Value> {
-        if args.len() > def.params.len() {
-            return Err(LangError::new(
-                format!(
-                    "{}() takes at most {} arguments, got {}",
-                    def.name,
-                    def.params.len(),
-                    args.len()
-                ),
-                def.line,
-            )
-            .into());
-        }
-        let mut args_iter = args.into_iter();
-        for param in &def.params {
-            if let Some(v) = args_iter.next() {
-                if kwargs.iter().any(|(k, _)| k == &param.name) {
-                    return Err(LangError::new(
-                        format!("{}() got multiple values for '{}'", def.name, param.name),
-                        def.line,
-                    )
-                    .into());
-                }
-                self.bind(frame, &param.name, v, def.line)?;
-            }
-        }
-        for (k, v) in &kwargs {
-            if !def.params.iter().any(|p| &p.name == k) {
-                return Err(LangError::new(
-                    format!("{}() got unexpected keyword argument '{k}'", def.name),
-                    def.line,
-                )
-                .into());
-            }
-            if frame.vars.contains_key(k) {
-                return Err(LangError::new(
-                    format!("{}() got multiple values for '{k}'", def.name),
-                    def.line,
-                )
-                .into());
-            }
-            self.bind(frame, k, v.clone(), def.line)?;
-        }
-        for param in &def.params {
-            if !frame.vars.contains_key(&param.name) {
-                match &param.default {
-                    Some(expr) => {
-                        let v = self.eval(expr, frame)?;
-                        self.bind(frame, &param.name, v, def.line)?;
-                    }
-                    None => {
-                        return Err(LangError::new(
-                            format!("{}() missing required argument '{}'", def.name, param.name),
-                            def.line,
-                        )
-                        .into());
-                    }
-                }
-            }
-        }
-        self.depth += 1;
-        let result = self.exec_block(&def.body, frame);
-        self.depth -= 1;
-        match result? {
-            Flow::Return(v) => Ok(v),
-            Flow::Normal => Ok(Value::None),
-            Flow::Break | Flow::Continue => {
-                Err(LangError::new("'break'/'continue' outside loop", def.line).into())
-            }
-        }
-    }
-
-    fn exec_block(&mut self, stmts: &[Stmt], frame: &mut Frame) -> SandboxResult<Flow> {
-        for stmt in stmts {
-            match self.exec_stmt(stmt, frame)? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, stmt: &Stmt, frame: &mut Frame) -> SandboxResult<Flow> {
-        match stmt {
-            Stmt::Pass => Ok(Flow::Normal),
-            Stmt::Break { line } => {
-                self.meter.charge(*line)?;
-                Ok(Flow::Break)
-            }
-            Stmt::Continue { line } => {
-                self.meter.charge(*line)?;
-                Ok(Flow::Continue)
-            }
-            Stmt::Expr(e) => {
-                self.eval(e, frame)?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Return { value, line } => {
-                self.meter.charge(*line)?;
-                let v = match value {
-                    Some(e) => self.eval(e, frame)?,
-                    None => Value::None,
-                };
-                Ok(Flow::Return(v))
-            }
-            Stmt::Def(def) => {
-                frame.funcs.insert(def.name.clone(), def.clone());
-                Ok(Flow::Normal)
-            }
-            Stmt::Assign { target, op, value, line } => {
-                self.meter.charge(*line)?;
-                let rhs = self.eval(value, frame)?;
-                match target {
-                    AssignTarget::Name(name) => {
-                        let new = match op {
-                            AssignOp::Set => rhs,
-                            AssignOp::Add | AssignOp::Sub => {
-                                let old = frame.vars.get(name).cloned().ok_or_else(|| {
-                                    LangError::new(format!("name '{name}' is not defined"), *line)
-                                })?;
-                                let bop =
-                                    if *op == AssignOp::Add { BinOp::Add } else { BinOp::Sub };
-                                builtins::binary_op(bop, old, rhs, *line)?
-                            }
-                        };
-                        self.meter.check_value_size(&new, *line)?;
-                        self.bind(frame, name, new, *line)?;
-                    }
-                    AssignTarget::Index { container, index } => {
-                        let Expr::Name { name, .. } = container.as_ref() else {
-                            return Err(LangError::new(
-                                "indexed assignment requires a plain variable",
-                                *line,
-                            )
-                            .into());
-                        };
-                        let idx = self.eval(index, frame)?;
-                        let slot = frame.vars.get_mut(name).ok_or_else(|| {
-                            LangError::new(format!("name '{name}' is not defined"), *line)
-                        })?;
-                        let current = builtins::index_get(slot, &idx, *line).ok();
-                        let new = match op {
-                            AssignOp::Set => rhs,
-                            AssignOp::Add | AssignOp::Sub => {
-                                let old = current.ok_or_else(|| {
-                                    LangError::new("augmented assign to missing index", *line)
-                                })?;
-                                let bop =
-                                    if *op == AssignOp::Add { BinOp::Add } else { BinOp::Sub };
-                                builtins::binary_op(bop, old, rhs, *line)?
-                            }
-                        };
-                        let before = slot.approx_size();
-                        builtins::index_set(slot, &idx, new, *line)?;
-                        let after = slot.approx_size();
-                        frame.bytes = frame.bytes.saturating_sub(before) + after;
-                        self.meter.mem_swap(before, after, *line)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::If { branches, otherwise, line } => {
-                self.meter.charge(*line)?;
-                for (cond, body) in branches {
-                    if self.eval(cond, frame)?.truthy() {
-                        return self.exec_block(body, frame);
-                    }
-                }
-                if otherwise.is_empty() {
-                    Ok(Flow::Normal)
-                } else {
-                    self.exec_block(otherwise, frame)
-                }
-            }
-            Stmt::While { cond, body, line } => {
-                loop {
-                    self.meter.charge(*line)?;
-                    if !self.eval(cond, frame)?.truthy() {
-                        break;
-                    }
-                    match self.exec_block(body, frame)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::For { var, iterable, body, line } => {
-                self.meter.charge(*line)?;
-                if let Expr::Call { callee, args, kwargs, .. } = iterable {
-                    if callee == "range" && kwargs.is_empty() {
-                        let (start, stop, step) = self.eval_range_args(args, frame, *line)?;
-                        return self.run_for_range(var, start, stop, step, body, frame, *line);
-                    }
-                }
-                let iter_v = self.eval(iterable, frame)?;
-                let items: Vec<Value> = match iter_v {
-                    Value::List(items) => items,
-                    Value::Str(s) => s.chars().map(|c| Value::Str(c.to_string())).collect(),
-                    Value::Dict(pairs) => pairs.into_iter().map(|(k, _)| Value::Str(k)).collect(),
-                    other => {
-                        return Err(LangError::new(
-                            format!("'{}' object is not iterable", other.type_name()),
-                            *line,
-                        )
-                        .into())
-                    }
-                };
-                for item in items {
-                    self.meter.charge(*line)?;
-                    self.bind(frame, var, item, *line)?;
-                    match self.exec_block(body, frame)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    fn eval_range_args(
-        &mut self,
-        args: &[Expr],
-        frame: &mut Frame,
-        line: u32,
-    ) -> SandboxResult<(i64, i64, i64)> {
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            let v = self.eval(a, frame)?.as_i64().ok_or_else(|| {
-                SandboxError::from(LangError::new("range() arguments must be integers", line))
-            })?;
-            vals.push(v);
-        }
-        match vals.as_slice() {
-            [stop] => Ok((0, *stop, 1)),
-            [start, stop] => Ok((*start, *stop, 1)),
-            [start, stop, step] if *step != 0 => Ok((*start, *stop, *step)),
-            [_, _, _] => Err(LangError::new("range() step must not be zero", line).into()),
-            _ => Err(LangError::new("range() takes 1 to 3 arguments", line).into()),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_for_range(
-        &mut self,
-        var: &str,
-        start: i64,
-        stop: i64,
-        step: i64,
-        body: &[Stmt],
-        frame: &mut Frame,
-        line: u32,
-    ) -> SandboxResult<Flow> {
-        let mut i = start;
-        while (step > 0 && i < stop) || (step < 0 && i > stop) {
-            self.meter.charge(line)?;
-            self.bind(frame, var, Value::Int(i), line)?;
-            match self.exec_block(body, frame)? {
-                Flow::Normal | Flow::Continue => {}
-                Flow::Break => break,
-                ret @ Flow::Return(_) => return Ok(ret),
-            }
-            i += step;
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn eval(&mut self, expr: &Expr, frame: &mut Frame) -> SandboxResult<Value> {
-        match expr {
-            Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Float(v) => Ok(Value::Float(*v)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::None => Ok(Value::None),
-            Expr::Name { name, line } => {
-                self.meter.charge(*line)?;
-                frame.vars.get(name).cloned().ok_or_else(|| {
-                    LangError::new(format!("name '{name}' is not defined"), *line).into()
-                })
-            }
-            Expr::List(items) => {
-                let mut vals = Vec::with_capacity(items.len());
-                for e in items {
-                    vals.push(self.eval(e, frame)?);
-                }
-                let v = Value::List(vals);
-                self.meter.check_value_size(&v, 0)?;
-                Ok(v)
-            }
-            Expr::Dict(pairs) => {
-                let mut out = Vec::with_capacity(pairs.len());
-                for (k, v) in pairs {
-                    let key = self.eval(k, frame)?.key_repr();
-                    let val = self.eval(v, frame)?;
-                    out.push((key, val));
-                }
-                let v = Value::Dict(out);
-                self.meter.check_value_size(&v, 0)?;
-                Ok(v)
-            }
-            Expr::Unary { op, operand, line } => {
-                self.meter.charge(*line)?;
-                let v = self.eval(operand, frame)?;
-                match op {
-                    UnOp::Not => Ok(Value::Bool(!v.truthy())),
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(LangError::new(
-                            format!("bad operand type for unary -: '{}'", other.type_name()),
-                            *line,
-                        )
-                        .into()),
-                    },
-                }
-            }
-            Expr::Binary { op, lhs, rhs, line } => {
-                self.meter.charge(*line)?;
-                match op {
-                    BinOp::And => {
-                        let l = self.eval(lhs, frame)?;
-                        if !l.truthy() {
-                            return Ok(l);
-                        }
-                        return self.eval(rhs, frame);
-                    }
-                    BinOp::Or => {
-                        let l = self.eval(lhs, frame)?;
-                        if l.truthy() {
-                            return Ok(l);
-                        }
-                        return self.eval(rhs, frame);
-                    }
-                    _ => {}
-                }
-                let l = self.eval(lhs, frame)?;
-                let r = self.eval(rhs, frame)?;
-                let v = builtins::binary_op(*op, l, r, *line)?;
-                self.meter.check_value_size(&v, *line)?;
-                Ok(v)
-            }
-            Expr::Index { container, index, line } => {
-                self.meter.charge(*line)?;
-                let c = self.eval(container, frame)?;
-                let i = self.eval(index, frame)?;
-                Ok(builtins::index_get(&c, &i, *line)?)
-            }
-            Expr::Ternary { cond, then, otherwise, .. } => {
-                if self.eval(cond, frame)?.truthy() {
-                    self.eval(then, frame)
-                } else {
-                    self.eval(otherwise, frame)
-                }
-            }
-            Expr::MethodCall { receiver, method, args, line } => {
-                self.meter.charge(*line)?;
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for e in args {
-                    arg_vals.push(self.eval(e, frame)?);
-                }
-                if let Expr::Name { name, .. } = receiver.as_ref() {
-                    if builtins::is_mutating_method(method) {
-                        let slot = frame.vars.get_mut(name).ok_or_else(|| {
-                            LangError::new(format!("name '{name}' is not defined"), *line)
-                        })?;
-                        let before = slot.approx_size();
-                        let out = builtins::call_mutating_method(slot, method, arg_vals, *line)?;
-                        let after = slot.approx_size();
-                        self.meter.check_value_size(slot, *line)?;
-                        frame.bytes = frame.bytes.saturating_sub(before) + after;
-                        self.meter.mem_swap(before, after, *line)?;
-                        return Ok(out);
-                    }
-                }
-                let recv = self.eval(receiver, frame)?;
-                Ok(builtins::call_method(&recv, method, arg_vals, *line)?)
-            }
-            Expr::Call { callee, args, kwargs, line } => {
-                self.meter.charge(*line)?;
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for e in args {
-                    arg_vals.push(self.eval(e, frame)?);
-                }
-                let mut kwarg_vals = Vec::with_capacity(kwargs.len());
-                for (k, e) in kwargs {
-                    kwarg_vals.push((k.clone(), self.eval(e, frame)?));
-                }
-                // Resolution order: local defs, global defs, builtins.
-                if let Some(def) = frame.funcs.get(callee).cloned() {
-                    return self
-                        .invoke(&def, arg_vals, kwarg_vals)
-                        .map_err(|e| e.in_function(callee));
-                }
-                if let Some(def) = self.globals.get(callee).cloned() {
-                    return self
-                        .invoke(&def, arg_vals, kwarg_vals)
-                        .map_err(|e| e.in_function(callee));
-                }
-                if !kwarg_vals.is_empty() {
-                    return Err(LangError::new(
-                        format!("builtin '{callee}' does not take keyword arguments"),
-                        *line,
-                    )
-                    .into());
-                }
-                self.call_gated_builtin(callee, arg_vals, *line)
-            }
-        }
-    }
-
-    /// Builtin dispatch under the capability policy: effectful builtins are
-    /// intercepted and gated; the rest delegate with inert hooks.
-    fn call_gated_builtin(
-        &mut self,
-        name: &str,
-        args: Vec<Value>,
-        line: u32,
-    ) -> SandboxResult<Value> {
-        match name {
-            "sleep" | "stress" => {
-                self.require_cap(Capability::Clock, name, line)?;
-                let ctx = HookedCtx { hooks: self.hooks, imports: self.imports };
-                let out = builtins::call_builtin(&ctx, name, args, line)?;
-                // The hook advanced virtual time; the deadline may have
-                // lapsed mid-sleep.
-                self.meter.check_deadline(line)?;
-                Ok(out)
-            }
-            "print" => {
-                let rendered: Vec<String> = args.iter().map(Value::to_string).collect();
-                let joined = rendered.join(" ");
-                self.meter.charge_output(joined.len() + 1, line)?;
-                self.hooks.print(&joined);
-                Ok(Value::None)
-            }
-            "session_get" | "session_set" | "session_clear" => {
-                self.require_cap(Capability::Session, name, line)?;
-                self.session_builtin(name, args, line)
-            }
-            _ => {
-                let ctx = InertCtx { imports: self.imports };
-                let v = builtins::call_builtin(&ctx, name, args, line)?;
-                self.meter.check_value_size(&v, line)?;
-                Ok(v)
-            }
-        }
-    }
-
-    fn session_builtin(&mut self, name: &str, args: Vec<Value>, line: u32) -> SandboxResult<Value> {
-        if self.session.is_none() {
-            return Err(SandboxError::cap(
-                CapKind::Capability,
-                format!("{name}() requires the function to be registered with a session"),
-                line,
-            ));
-        }
-        let key_of = |v: &Value| -> SandboxResult<String> {
-            match v {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(LangError::new(
-                    format!("session key must be a str, got {}", other.type_name()),
-                    line,
-                )
-                .into()),
-            }
-        };
-        match name {
-            "session_get" => {
-                let (key, default) = match args.as_slice() {
-                    [k] => (key_of(k)?, Value::None),
-                    [k, d] => (key_of(k)?, d.clone()),
-                    _ => {
-                        return Err(LangError::new(
-                            "session_get() takes a key and optional default",
-                            line,
-                        )
-                        .into())
-                    }
-                };
-                let state = self.session.as_deref().expect("checked above");
-                Ok(state.get(&key).cloned().unwrap_or(default))
-            }
-            "session_set" => {
-                let [k, v] = args.as_slice() else {
-                    return Err(
-                        LangError::new("session_set() takes a key and a value", line).into()
-                    );
-                };
-                let key = key_of(k)?;
-                self.meter.check_value_size(v, line)?;
-                let state = self.session.as_deref_mut().expect("checked above");
-                let before = state.approx_size();
-                state.set(key, v.clone());
-                let after = state.approx_size();
-                self.session_live = after;
-                self.meter.mem_swap(before, after, line)?;
-                Ok(Value::None)
-            }
-            "session_clear" => {
-                if !args.is_empty() {
-                    return Err(LangError::new("session_clear() takes no arguments", line).into());
-                }
-                let state = self.session.as_deref_mut().expect("checked above");
-                let released = state.clear();
-                self.session_live = 0;
-                self.meter.mem_release(released);
-                Ok(Value::None)
-            }
-            _ => unreachable!("gated dispatch only routes session builtins here"),
-        }
-    }
+        policy.meter.mem_release(policy.session_live);
+        Ok(ExecOutcome {
+            value,
+            fuel_used: policy.meter.fuel_used(),
+            mem_high_water: policy.meter.high_water(),
+            output_bytes: policy.meter.output_used(),
+        })
+    };
+    call().map_err(|error| SandboxError { kind: vm.policy_mut().killed, error })
 }
 
 #[cfg(test)]
@@ -808,6 +335,17 @@ def f():
         let e = run_simple(src, "f", &[], limits, &[]).unwrap_err();
         assert_eq!(e.kind, Some(CapKind::Memory));
         assert!(e.to_string().starts_with("SandboxMemoryExceeded:"), "{e}");
+    }
+
+    #[test]
+    fn list_repetition_hits_the_memory_cap_before_it_allocates() {
+        // The last two have a byte count past `usize::MAX`.
+        for expr in ["[0] * 10**15", "[0, 0, 0] * 2**62", "2**62 * 'aaaa'"] {
+            let src = format!("def f():\n    return {expr}\n");
+            let e = run_simple(&src, "f", &[], SandboxLimits::default(), &[]).unwrap_err();
+            assert_eq!(e.kind, Some(CapKind::Memory), "{expr}");
+            assert!(e.to_string().contains("size limit"), "{expr}: {e}");
+        }
     }
 
     #[test]

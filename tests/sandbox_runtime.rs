@@ -341,3 +341,261 @@ fn sandbox_runtime_crosses_the_tcp_fabric() {
     agent.stop();
     forwarder.stop();
 }
+
+// ---- one evaluator, two policies ------------------------------------------
+//
+// FxScript and the sandbox run the same tree-walker under different
+// policies. The corpus below goes through both and must come out the same:
+// values, language errors (message, line, traceback) and fuel consumed, which
+// pins that both policies are charged at the same points of the walk.
+
+mod parity {
+    use std::collections::HashMap;
+
+    use funcx_lang::ast::FunctionDef;
+    use funcx_lang::{Interpreter, LangError, Limits, NoopHooks, Value};
+    use funcx_sandbox::{run_program, CapKind, SandboxError, SandboxLimits};
+    use funcx_types::time::ManualClock;
+    use funcx_types::Capability;
+    use funcx_workload::{synthetic, CaseStudy};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    struct Case {
+        source: String,
+        entry: &'static str,
+        args: Vec<Value>,
+        kwargs: Vec<(String, Value)>,
+    }
+
+    fn case(source: &str, entry: &'static str, args: Vec<Value>) -> Case {
+        Case { source: source.to_string(), entry, args, kwargs: vec![] }
+    }
+
+    /// What one policy made of a case: the value and the fuel it took, or
+    /// the error and the cap (sandbox only) that raised it.
+    type Verdict = Result<(Value, u64), (LangError, Option<CapKind>)>;
+
+    fn classic(c: &Case, limits: &Limits) -> Verdict {
+        let program = funcx_lang::parse(&c.source).unwrap();
+        let mut interp = Interpreter::new(&NoopHooks, limits.clone());
+        interp.load_program(&program).unwrap();
+        match interp.call_function(c.entry, &c.args, &c.kwargs) {
+            Ok(value) => Ok((value, limits.max_fuel - interp.fuel_remaining())),
+            Err(e) => Err((e, None)),
+        }
+    }
+
+    fn sandbox(c: &Case, limits: &Limits) -> Verdict {
+        let program = funcx_lang::parse(&c.source).unwrap();
+        let globals: HashMap<String, FunctionDef> =
+            program.defs.iter().map(|d| (d.name.clone(), d.clone())).collect();
+        let limits = SandboxLimits {
+            max_fuel: limits.max_fuel,
+            max_depth: limits.max_depth,
+            max_value_bytes: limits.max_value_bytes,
+            ..SandboxLimits::default()
+        };
+        run_program(
+            &program,
+            &globals,
+            c.entry,
+            &c.args,
+            &c.kwargs,
+            limits,
+            // The case-study and synthetic kernels pad with sleep/stress.
+            &[Capability::Clock],
+            None,
+            &NoopHooks,
+            ManualClock::new(),
+        )
+        .map(|out| (out.value, out.fuel_used))
+        .map_err(|SandboxError { kind, error }| (error, kind))
+    }
+
+    fn corpus() -> Vec<Case> {
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut cases: Vec<Case> = CaseStudy::ALL
+            .iter()
+            .map(|k| case(k.source(), k.entry(), k.gen_args(&mut rng)))
+            .collect();
+        cases.extend([
+            case(synthetic::NOOP_SRC, synthetic::NOOP_ENTRY, vec![]),
+            case(synthetic::SLEEP_SRC, synthetic::SLEEP_ENTRY, synthetic::seconds_arg(0.25)),
+            case(synthetic::STRESS_SRC, synthetic::STRESS_ENTRY, synthetic::seconds_arg(0.25)),
+            case(synthetic::ECHO_SRC, synthetic::ECHO_ENTRY, synthetic::echo_args()),
+            case(synthetic::MEMO_SRC, synthetic::MEMO_ENTRY, vec![Value::Int(21)]),
+        ]);
+        // The programs of `funcx_lang::interp`'s unit tests.
+        for expr in [
+            "2 + 3 * 4",
+            "(2 + 3) * 4",
+            "7 // 2",
+            "7 % 3",
+            "2 ** 10",
+            "1 / 2",
+            "False and 1 / 0",
+            "True or 1 / 0",
+        ] {
+            cases.push(case(&format!("def f():\n    return {expr}\n"), "f", vec![]));
+        }
+        let sign = "def sign(x):\n    return 1 if x > 0 else (-1 if x < 0 else 0)\n";
+        let defaults = "def f(a, b=10, c=20):\n    return a + b + c\n";
+        let xs = Value::List(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        cases.extend([
+            case("def f():\n    x = 1\n    return x / 0\n", "f", vec![]),
+            case(
+                "def fib(n):\n    if n < 2:\n        return n\n    return fib(n - 1) + fib(n - 2)\n",
+                "fib",
+                vec![Value::Int(15)],
+            ),
+            case("def f(n):\n    return f(n + 1)\n", "f", vec![Value::Int(0)]),
+            case(defaults, "f", vec![Value::Int(1)]),
+            Case {
+                kwargs: vec![("c".into(), Value::Int(0))],
+                ..case(defaults, "f", vec![Value::Int(1)])
+            },
+            Case {
+                kwargs: vec![("a".into(), Value::Int(2))],
+                ..case("def f(a):\n    return a\n", "f", vec![Value::Int(1)])
+            },
+            case("def f(a, b):\n    return a\n", "f", vec![Value::Int(1)]),
+            case(
+                "\
+def f(n):
+    total = 0
+    for i in range(n):
+        if i % 2 == 0:
+            continue
+        if i > 7:
+            break
+        total += i
+    return total
+",
+                "f",
+                vec![Value::Int(100)],
+            ),
+            case(
+                "def f(n):\n    i = 0\n    while i < n:\n        i += 1\n    return i\n",
+                "f",
+                vec![Value::Int(17)],
+            ),
+            case(
+                "def f():\n    t = 0\n    for i in range(1000000):\n        t += 1\n    return t\n",
+                "f",
+                vec![],
+            ),
+            case(
+                "def f():\n    out = []\n    for i in range(5, 0, -2):\n        out.append(i)\n    return out\n",
+                "f",
+                vec![],
+            ),
+            case(
+                "\
+def f():
+    d = {'a': 1}
+    d['b'] = 2
+    d['a'] += 10
+    xs = [0, 0, 0]
+    xs[1] = 5
+    xs[2] = d['a']
+    return [xs, d['b']]
+",
+                "f",
+                vec![],
+            ),
+            case("def f(xs):\n    return xs[-1]\n", "f", vec![xs]),
+            case(
+                "\
+def count_vowels(s):
+    n = 0
+    for c in s:
+        if c in 'aeiou':
+            n += 1
+    return n
+",
+                "count_vowels",
+                vec![Value::from("serverless")],
+            ),
+            case(
+                "\
+def outer(x):
+    def helper(y):
+        return y * 2
+    return helper(x) + helper(1)
+",
+                "outer",
+                vec![Value::Int(10)],
+            ),
+            case(sign, "sign", vec![Value::Int(5)]),
+            case(sign, "sign", vec![Value::Int(-5)]),
+            case(sign, "sign", vec![Value::Int(0)]),
+            case(
+                "def f():\n    print('starting')\n    sleep(0.25)\n    return 'ok'\n",
+                "f",
+                vec![],
+            ),
+            case(
+                "\
+def inner(x):
+    return x / 0
+
+def outer(x):
+    return inner(x)
+",
+                "outer",
+                vec![Value::Int(1)],
+            ),
+        ]);
+        cases
+    }
+
+    #[test]
+    fn both_policies_agree_on_values_errors_and_fuel() {
+        let limits = Limits::default();
+        let (mut values, mut errors) = (0, 0);
+        for c in corpus() {
+            let (a, b) = (classic(&c, &limits), sandbox(&c, &limits));
+            match &a {
+                Ok((_, fuel)) => {
+                    assert!(*fuel > 0);
+                    values += 1;
+                }
+                Err(_) => errors += 1,
+            }
+            // Equal values and fuel, or equal message, line and traceback
+            // with no cap behind the sandbox's error.
+            assert_eq!(a, b, "{}({:?}) in\n{}", c.entry, c.args, c.source);
+        }
+        assert!(values >= 30 && errors >= 5, "{values} values, {errors} errors");
+    }
+
+    /// Where a cap ends the run the two policies word the error differently
+    /// (the sandbox names its cap), but they end it at the same step.
+    #[test]
+    fn both_policies_hit_their_caps_at_the_same_step() {
+        let spin = case("def f():\n    while True:\n        pass\n    return 0\n", "f", vec![]);
+        let grow = case(
+            "\
+def f():
+    s = 'x'
+    while True:
+        s = s + s
+    return s
+",
+            "f",
+            vec![],
+        );
+        let fuel = Limits { max_fuel: 10_000, ..Limits::default() };
+        let size = Limits { max_value_bytes: 1 << 16, ..Limits::default() };
+        for (c, limits, kind, word) in
+            [(spin, fuel, CapKind::Fuel, "fuel"), (grow, size, CapKind::Memory, "size limit")]
+        {
+            let (ea, _) = classic(&c, &limits).unwrap_err();
+            let (eb, kb) = sandbox(&c, &limits).unwrap_err();
+            assert_eq!(kb, Some(kind));
+            assert!(ea.message.contains(word) && eb.message.contains(word), "{ea} / {eb}");
+            assert_eq!((ea.line, &ea.stack), (eb.line, &eb.stack));
+        }
+    }
+}
