@@ -60,8 +60,9 @@ pub struct ServiceConfig {
     /// When WAL appends are fsynced (group commit by default). Ignored
     /// unless `wal_dir` is set.
     pub wal_fsync: FsyncPolicy,
-    /// Snapshot + compact the WAL every N appends (`0` disables automatic
-    /// snapshots). Ignored unless `wal_dir` is set.
+    /// Checkpoint + compact the WAL once N appends have passed and the log
+    /// has outgrown the last checkpoint (`0` disables automatic
+    /// checkpoints). Ignored unless `wal_dir` is set.
     pub snapshot_every: u64,
     /// Head-sample rate for distributed traces in `[0, 1]`: the fraction of
     /// *healthy* traces retained at completion. Error/failover/recovery

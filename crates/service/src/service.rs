@@ -5,6 +5,7 @@
 //! records. The REST layer and the in-proc SDK both call these methods; the
 //! per-endpoint forwarders consume the queues.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -25,6 +26,7 @@ use funcx_types::{
     RoutingPolicy, TaskId, UserId,
 };
 use funcx_wal::{DurableEvent, Wal, WalConfig, WalInstruments, WalState};
+use parking_lot::Mutex;
 
 use crate::config::ServiceConfig;
 use crate::durability::{store_queue_kind, RecoveryReport, WalJournal};
@@ -67,6 +69,8 @@ pub(crate) struct Instruments {
     pub tasks_failed: Counter,
     /// Tasks returned to the queue after an agent was lost.
     pub tasks_requeued: Counter,
+    /// Records purged one TTL after their result was last retrieved.
+    pub tasks_purged: Counter,
     /// End-to-end latency (`received` → `result_stored`), Figure 4's total.
     pub task_latency: Histogram,
     /// Pure execution time (`tw`).
@@ -112,6 +116,7 @@ impl Instruments {
             results_stored: registry.counter("funcx_results_stored_total", &[]),
             tasks_failed: registry.counter("funcx_tasks_failed_total", &[]),
             tasks_requeued: registry.counter("funcx_tasks_requeued_total", &[]),
+            tasks_purged: registry.counter("funcx_tasks_purged_total", &[]),
             task_latency: registry.histogram("funcx_task_latency_seconds", &[]),
             task_exec: registry.histogram("funcx_task_exec_seconds", &[]),
             tasks_routed: RoutingPolicy::ALL
@@ -183,6 +188,11 @@ pub struct FuncxService {
     /// so pollers, submitters, and forwarders contend per-shard, never on
     /// one global lock.
     pub(crate) tasks: TaskStore,
+    /// Retrievals whose purge TTL is running, oldest first:
+    /// `(retrieved_at, task)`. [`FuncxService::get_result`] pushes here
+    /// and purges the expired heads, so §4.1's "purged once retrieved" runs
+    /// at the rate results are fetched, with no thread and no table scan.
+    pub(crate) retrievals: Mutex<VecDeque<(VirtualInstant, TaskId)>>,
 }
 
 impl FuncxService {
@@ -239,8 +249,12 @@ impl FuncxService {
                     appends: metrics.counter("funcx_wal_appends_total", &[]),
                     fsyncs: metrics.counter("funcx_wal_fsyncs_total", &[]),
                     bytes_written: metrics.counter("funcx_wal_bytes_written_total", &[]),
+                    checkpoints: metrics.counter("funcx_wal_checkpoints_total", &[]),
+                    checkpoint_seconds: metrics.histogram("funcx_wal_checkpoint_seconds", &[]),
+                    checkpoint_bytes: metrics.gauge("funcx_wal_checkpoint_bytes", &[]),
+                    live_log_bytes: metrics.gauge("funcx_wal_live_log_bytes", &[]),
                 };
-                Some(Wal::open(wal_config, wal_instruments)?)
+                Some(Wal::recover(wal_config, wal_instruments)?)
             }
             None => None,
         };
@@ -266,27 +280,28 @@ impl FuncxService {
             started_at: clock.now(),
             instruments,
             serializer: Serializer::default(),
-            wal: wal.clone(),
+            wal: wal.as_ref().map(|(wal, _)| Arc::clone(wal)),
             limiter: config
                 .rate_limit_per_user
                 .map(|rl| crate::ratelimit::RateLimiter::new(Arc::clone(&clock), rl)),
             tasks: TaskStore::new(config.task_shards),
+            retrievals: Mutex::new(VecDeque::new()),
             config,
             clock,
         });
 
         let mut report = RecoveryReport::default();
-        if let Some(wal) = wal {
+        if let Some((wal, state)) = wal {
             let info = wal.recovery_info();
             report.snapshot_loaded = info.snapshot_loaded;
             report.events_replayed = info.replayed;
             report.events_skipped = info.skipped;
             report.truncated_bytes = info.truncated_bytes;
 
-            // 1. Pour the materialized log state into the live components.
-            //    The journal is NOT installed yet, so nothing restored here
-            //    is re-appended to the log.
-            let state = wal.state();
+            // 1. Pour the state `Wal::recover` rebuilt (the one replay of
+            //    this restart) into the live components. The journal is
+            //    NOT installed yet, so nothing restored here is re-appended
+            //    to the log.
             service.restore_state(&state, &mut report);
 
             // 2. From now on every store mutation flows back into the log.
@@ -401,10 +416,20 @@ impl FuncxService {
         // recovered service is reproducible under test.
         let mut records: Vec<&TaskRecord> = state.tasks.values().collect();
         records.sort_by_key(|r| (r.timeline.received, r.spec.task_id));
-        for record in records {
-            self.tasks.insert(record.spec.task_id, record.clone());
+        for record in &records {
+            self.tasks.insert(record.spec.task_id, (*record).clone());
             report.tasks_restored += 1;
         }
+        // Results retrieved before the restart keep their purge deadline.
+        let mut retrievals = self.retrievals.lock();
+        retrievals.extend(
+            records
+                .iter()
+                .filter(|r| r.state.is_terminal())
+                .filter_map(|r| Some((r.retrieved_at?, r.spec.task_id))),
+        );
+        retrievals.make_contiguous().sort_unstable();
+        drop(retrievals);
         for (&(endpoint_id, kind), items) in &state.queues {
             let queue = self.store.queue(endpoint_id, store_queue_kind(kind));
             for item in items {
@@ -1521,8 +1546,37 @@ impl FuncxService {
         if matches!(outcome, Ok(Some(_))) {
             // Durable retrieval stamp: arms the purge TTL across restarts.
             self.log_event(&DurableEvent::ResultRetrieved { task_id, at_nanos: now.as_nanos() });
+            self.retrievals.lock().push_back((now, task_id));
+            self.purge_expired(now);
         }
         outcome
+    }
+
+    /// Purge at most two records whose retrieval TTL has run out — two per
+    /// retrieval pushed, so the queue drains faster than it fills and no
+    /// caller pays for a backlog. A stamp a later retrieval has replaced
+    /// (the TTL was re-armed) or whose record is already gone pops as a
+    /// no-op.
+    fn purge_expired(&self, now: VirtualInstant) {
+        let ttl = self.config.retrieved_result_ttl;
+        for _ in 0..2 {
+            let (stamp, task_id) = {
+                let mut retrievals = self.retrievals.lock();
+                match retrievals.front() {
+                    Some(&(at, _)) if now.saturating_duration_since(at) >= ttl => {
+                        retrievals.pop_front().expect("front was just seen")
+                    }
+                    _ => return,
+                }
+            };
+            let purged = self
+                .tasks
+                .remove_if(task_id, |r| r.state.is_terminal() && r.retrieved_at == Some(stamp));
+            if purged {
+                self.log_event(&DurableEvent::TaskPurged { task_id });
+                self.instruments.tasks_purged.inc();
+            }
+        }
     }
 
     /// Full record (timeline instrumentation for the Figure 4 breakdown).
@@ -1661,10 +1715,12 @@ impl FuncxService {
 
     /// Purge records whose results were *retrieved* more than the
     /// configured TTL ago (§4.1 purges results "once they have been
-    /// retrieved"). A terminal record the user never fetched is kept —
-    /// purging it would silently destroy a result nobody has seen.
-    /// Proceeds shard-by-shard; the table is never frozen whole. Returns
-    /// reclaimed count.
+    /// retrieved"), all at once. A running service does this a couple of
+    /// records at a time from [`FuncxService::get_result`]; this sweep is
+    /// for an operator (or a test) that wants the table trimmed *now*. A
+    /// terminal record the user never fetched is kept — purging it would
+    /// silently destroy a result nobody has seen. Proceeds shard-by-shard;
+    /// the table is never frozen whole. Returns reclaimed count.
     pub fn purge_retrieved(&self) -> usize {
         let now = self.clock.now();
         let ttl = self.config.retrieved_result_ttl;
@@ -1681,6 +1737,7 @@ impl FuncxService {
         for task_id in purged {
             self.log_event(&DurableEvent::TaskPurged { task_id });
         }
+        self.instruments.tasks_purged.add(count as u64);
         count
     }
 
@@ -2041,6 +2098,170 @@ mod tests {
         clock.advance(std::time::Duration::from_secs(61));
         assert_eq!(svc.purge_retrieved(), 1);
         assert!(svc.task_record(unfetched).is_err());
+    }
+
+    /// A service on `clock` with a 60 s retrieval TTL (journaling into
+    /// `wal_dir` if given), a logged-in user, an endpoint and a function.
+    fn purge_bed(
+        clock: &Arc<ManualClock>,
+        wal_dir: Option<&std::path::Path>,
+    ) -> (Arc<FuncxService>, String) {
+        let svc = FuncxService::new(
+            Arc::clone(clock) as SharedClock,
+            ServiceConfig {
+                retrieved_result_ttl: std::time::Duration::from_secs(60),
+                wal_dir: wal_dir.map(|d| d.to_path_buf()),
+                snapshot_every: 16,
+                ..ServiceConfig::default()
+            },
+        );
+        let (_, token) = svc.auth.login("a", IdentityProvider::Google, &[Scope::All]);
+        (svc, token)
+    }
+
+    fn purge_bed_targets(svc: &FuncxService, token: &str) -> (EndpointId, FunctionId) {
+        let ep = svc.register_endpoint(token, "ep", "", false).unwrap();
+        let f = svc
+            .register_function(
+                token,
+                "f",
+                "def f():\n    return 0\n",
+                "f",
+                None,
+                Sharing::default(),
+            )
+            .unwrap();
+        (ep, f)
+    }
+
+    /// Submit a task and store a successful result for it, in memory and
+    /// (as the forwarder would) in the journal.
+    fn submit_completed(svc: &FuncxService, token: &str, f: FunctionId, ep: EndpointId) -> TaskId {
+        let task = svc.submit(token, request(f, ep)).unwrap();
+        fabricate_success(svc, task, svc.clock.now());
+        svc.log_event(&DurableEvent::ResultStored {
+            task_id: task,
+            outcome: TaskOutcome::Success(vec![]),
+            timeline: Default::default(),
+        });
+        task
+    }
+
+    fn unique_wal_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("funcx-service-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn retrieval_keeps_the_task_table_at_one_ttl_of_submissions() {
+        let clock = ManualClock::new();
+        let (svc, token) = purge_bed(&clock, None);
+        let (ep, f) = purge_bed_targets(&svc, &token);
+        // Finished, never fetched: no amount of other traffic may purge it.
+        let unfetched = submit_completed(&svc, &token, f, ep);
+        // One task a second, each fetched as soon as it is done.
+        for second in 0..300u64 {
+            let task = submit_completed(&svc, &token, f, ep);
+            assert!(svc.get_result(&token, task).unwrap().is_some());
+            clock.advance(std::time::Duration::from_secs(1));
+            // Results fetched in the last 60 s, and the one nobody fetched.
+            assert!(svc.task_count() <= 60 + 1, "second {second}: {} records", svc.task_count());
+        }
+        assert_eq!(svc.task_count(), 60 + 1, "steady state: one TTL of submissions");
+        assert_eq!(svc.instruments.tasks_purged.get(), 300 - 60);
+        assert!(svc.render_metrics().contains("funcx_tasks_purged_total 240"));
+        assert!(svc.get_result(&token, unfetched).unwrap().is_some(), "first reader still served");
+    }
+
+    #[test]
+    fn a_later_retrieval_rearms_the_purge_ttl() {
+        let clock = ManualClock::new();
+        let (svc, token) = purge_bed(&clock, None);
+        let (ep, f) = purge_bed_targets(&svc, &token);
+        let secs = std::time::Duration::from_secs;
+        let twice = submit_completed(&svc, &token, f, ep);
+        // Fetching this one is what drives the purge at chosen instants (it
+        // re-arms itself every time, so it never goes).
+        let driver = submit_completed(&svc, &token, f, ep);
+
+        assert!(svc.get_result(&token, twice).unwrap().is_some()); // t = 0
+        clock.advance(secs(50));
+        assert!(svc.get_result(&token, twice).unwrap().is_some()); // t = 50
+        clock.advance(secs(20));
+        // t = 70: the first stamp is 70 s old, but it is no longer the
+        // record's stamp.
+        assert!(svc.get_result(&token, driver).unwrap().is_some());
+        assert!(svc.task_record(twice).is_ok(), "purged 20 s after its last retrieval");
+        clock.advance(secs(39));
+        assert!(svc.get_result(&token, driver).unwrap().is_some()); // t = 109
+        assert!(svc.task_record(twice).is_ok(), "purged 59 s after its last retrieval");
+        clock.advance(secs(1));
+        assert!(svc.get_result(&token, driver).unwrap().is_some()); // t = 110
+        assert!(svc.task_record(twice).is_err(), "one TTL after the last retrieval it goes");
+        assert!(svc.task_record(driver).is_ok());
+        assert_eq!(svc.instruments.tasks_purged.get(), 1);
+    }
+
+    #[test]
+    fn a_restart_neither_loses_nor_resurrects_a_purge() {
+        let dir = unique_wal_dir("purge-restart");
+        let clock = ManualClock::new();
+        let secs = std::time::Duration::from_secs;
+        let (svc, token) = purge_bed(&clock, Some(&dir));
+        let (ep, f) = purge_bed_targets(&svc, &token);
+        let early = submit_completed(&svc, &token, f, ep);
+        let late = submit_completed(&svc, &token, f, ep);
+        let driver = submit_completed(&svc, &token, f, ep);
+        assert!(svc.get_result(&token, early).unwrap().is_some()); // t = 0
+        clock.advance(secs(30));
+        assert!(svc.get_result(&token, late).unwrap().is_some()); // t = 30
+        clock.advance(secs(10));
+        drop(svc);
+
+        // Restart at t = 40: both deadlines are still ahead and must still
+        // be running afterwards.
+        let (svc, token) = purge_bed(&clock, Some(&dir));
+        assert_eq!(svc.wal.as_ref().unwrap().folds(), 1, "a restart replays the log once");
+        assert_eq!(svc.task_count(), 3);
+        clock.advance(secs(21));
+        assert!(svc.get_result(&token, driver).unwrap().is_some()); // t = 61
+        assert!(svc.task_record(early).is_err(), "deadline armed before the restart was lost");
+        assert!(svc.task_record(late).is_ok());
+        drop(svc);
+
+        // Restart at t = 61: the purge is durable, the other deadline runs.
+        let (svc, token) = purge_bed(&clock, Some(&dir));
+        assert!(svc.task_record(early).is_err(), "a purged record came back");
+        assert!(svc.task_record(late).is_ok());
+        clock.advance(secs(29));
+        assert!(svc.get_result(&token, driver).unwrap().is_some()); // t = 90
+        assert!(svc.task_record(late).is_err());
+        assert_eq!(svc.task_count(), 1);
+
+        // Enough journal traffic for a background checkpoint (every 16
+        // appends here), and its numbers on the scrape.
+        for _ in 0..16 {
+            assert!(svc.get_result(&token, driver).unwrap().is_some());
+        }
+        svc.wal.as_ref().unwrap().wait_for_checkpoint().unwrap();
+        let scrape = svc.render_metrics();
+        for name in [
+            "funcx_wal_checkpoints_total",
+            "funcx_wal_checkpoint_seconds_count",
+            "funcx_wal_checkpoint_bytes",
+            "funcx_wal_live_log_bytes",
+            "funcx_tasks_purged_total 1",
+        ] {
+            assert!(scrape.contains(name), "scrape is missing {name}:\n{scrape}");
+        }
+        assert!(!scrape.contains("funcx_wal_checkpoints_total 0"), "a checkpoint was installed");
+        drop(svc);
+        let (svc, _) = purge_bed(&clock, Some(&dir));
+        assert_eq!(svc.task_count(), 1, "checkpoint + tail reopen to the same table");
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Register a sandbox-runtime function under `token`.

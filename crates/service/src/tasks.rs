@@ -86,6 +86,17 @@ impl TaskStore {
         self.shard(task_id).write().remove(&task_id)
     }
 
+    /// Remove a record if `doomed` says so, deciding and removing under one
+    /// write section. True if it was removed.
+    pub fn remove_if(&self, task_id: TaskId, doomed: impl FnOnce(&TaskRecord) -> bool) -> bool {
+        let mut shard = self.shard(task_id).write();
+        let remove = shard.get(&task_id).is_some_and(doomed);
+        if remove {
+            shard.remove(&task_id);
+        }
+        remove
+    }
+
     /// Keep only records for which `keep` returns true, one shard at a
     /// time (the whole table is never frozen at once). Returns how many
     /// records were dropped.

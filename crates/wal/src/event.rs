@@ -164,14 +164,14 @@ pub enum DurableEvent {
 }
 
 impl QueueKind {
-    fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             QueueKind::Task => 0,
             QueueKind::Result => 1,
         }
     }
 
-    fn from_tag(tag: u8) -> Option<QueueKind> {
+    pub(crate) fn from_tag(tag: u8) -> Option<QueueKind> {
         match tag {
             0 => Some(QueueKind::Task),
             1 => Some(QueueKind::Result),
@@ -191,89 +191,95 @@ impl DurableEvent {
     /// layouts. The codec carries both readers side by side.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`DurableEvent::to_bytes`] appended to a caller-owned buffer, so the
+    /// log can encode a record straight into its frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             DurableEvent::TaskCreated { record } => {
                 out.push(16);
-                codec::put_task_record(&mut out, record);
+                codec::put_task_record(out, record);
             }
             DurableEvent::TaskDispatched { task_id } => {
                 out.push(1);
-                codec::put_uuid(&mut out, task_id.uuid());
+                codec::put_uuid(out, task_id.uuid());
             }
             DurableEvent::TaskRequeued { task_id, endpoint_id } => {
                 out.push(2);
-                codec::put_uuid(&mut out, task_id.uuid());
-                codec::put_uuid(&mut out, endpoint_id.uuid());
+                codec::put_uuid(out, task_id.uuid());
+                codec::put_uuid(out, endpoint_id.uuid());
             }
             DurableEvent::ResultStored { task_id, outcome, timeline } => {
                 out.push(3);
-                codec::put_uuid(&mut out, task_id.uuid());
-                codec::put_outcome(&mut out, outcome);
-                codec::put_timeline(&mut out, timeline);
+                codec::put_uuid(out, task_id.uuid());
+                codec::put_outcome(out, outcome);
+                codec::put_timeline(out, timeline);
             }
             DurableEvent::ResultRetrieved { task_id, at_nanos } => {
                 out.push(4);
-                codec::put_uuid(&mut out, task_id.uuid());
-                codec::put_u64(&mut out, *at_nanos);
+                codec::put_uuid(out, task_id.uuid());
+                codec::put_u64(out, *at_nanos);
             }
             DurableEvent::TaskPurged { task_id } => {
                 out.push(5);
-                codec::put_uuid(&mut out, task_id.uuid());
+                codec::put_uuid(out, task_id.uuid());
             }
             DurableEvent::TaskFailed { task_id, error } => {
                 out.push(6);
-                codec::put_uuid(&mut out, task_id.uuid());
-                codec::put_str(&mut out, error);
+                codec::put_uuid(out, task_id.uuid());
+                codec::put_str(out, error);
             }
             DurableEvent::QueuePush { endpoint_id, kind, front, item } => {
                 out.push(7);
-                codec::put_uuid(&mut out, endpoint_id.uuid());
+                codec::put_uuid(out, endpoint_id.uuid());
                 out.push(kind.tag());
-                codec::put_bool(&mut out, *front);
-                codec::put_bytes(&mut out, item);
+                codec::put_bool(out, *front);
+                codec::put_bytes(out, item);
             }
             DurableEvent::QueuePop { endpoint_id, kind, count } => {
                 out.push(8);
-                codec::put_uuid(&mut out, endpoint_id.uuid());
+                codec::put_uuid(out, endpoint_id.uuid());
                 out.push(kind.tag());
-                codec::put_u32(&mut out, *count);
+                codec::put_u32(out, *count);
             }
             DurableEvent::QueuesRemoved { endpoint_id } => {
                 out.push(9);
-                codec::put_uuid(&mut out, endpoint_id.uuid());
+                codec::put_uuid(out, endpoint_id.uuid());
             }
             DurableEvent::MemoInsert { key, codec: wire, body } => {
                 out.push(10);
-                codec::put_u64(&mut out, *key);
+                codec::put_u64(out, *key);
                 out.push(*wire);
-                codec::put_bytes(&mut out, body);
+                codec::put_bytes(out, body);
             }
             DurableEvent::KvSet { key, field, value, expires_at_nanos } => {
                 out.push(11);
-                codec::put_str(&mut out, key);
-                codec::put_str(&mut out, field);
-                codec::put_bytes(&mut out, value);
-                codec::put_opt(&mut out, expires_at_nanos.as_ref(), |o, n| codec::put_u64(o, *n));
+                codec::put_str(out, key);
+                codec::put_str(out, field);
+                codec::put_bytes(out, value);
+                codec::put_opt(out, expires_at_nanos.as_ref(), |o, n| codec::put_u64(o, *n));
             }
             DurableEvent::KvDel { key, field } => {
                 out.push(12);
-                codec::put_str(&mut out, key);
-                codec::put_str(&mut out, field);
+                codec::put_str(out, key);
+                codec::put_str(out, field);
             }
             DurableEvent::EndpointRegistered { record } => {
                 out.push(17);
-                codec::put_endpoint_record(&mut out, record);
+                codec::put_endpoint_record(out, record);
             }
             DurableEvent::EndpointDeregistered { endpoint_id } => {
                 out.push(14);
-                codec::put_uuid(&mut out, endpoint_id.uuid());
+                codec::put_uuid(out, endpoint_id.uuid());
             }
             DurableEvent::FunctionRegistered { record } => {
                 out.push(18);
-                codec::put_function_record(&mut out, record);
+                codec::put_function_record(out, record);
             }
         }
-        out
     }
 
     /// Parse an on-disk payload. `None` for unknown/incompatible records —

@@ -6,23 +6,25 @@
 //! §4.1. This crate supplies the equivalent durability for our in-process
 //! substitutes: every state change the at-least-once contract depends on
 //! is appended as a [`DurableEvent`] to a segmented, CRC-framed log
-//! ([`Wal`]), group-committed to disk, periodically folded into a
-//! [`WalState`] snapshot, and replayed on restart — including re-queueing
-//! tasks that were dispatched but never acknowledged.
+//! ([`Wal`]), group-committed to disk, folded into a [`WalState`]
+//! checkpoint by a background thread, and replayed on restart — including
+//! re-queueing tasks that were dispatched but never acknowledged.
 //!
 //! Module map:
 //! * [`frame`] — `[len][crc32][payload]` record framing + torn-tail scan.
 //! * [`codec`] — hand-rolled binary encode/decode for payloads.
 //! * [`event`] — the [`DurableEvent`] model of what must survive.
 //! * [`state`] — [`WalState`], the materialized view / replay target.
-//! * [`snapshot`] — whole-state snapshot encode/decode.
-//! * [`log`] — the [`Wal`]: segments, group commit, compaction, recovery.
+//! * [`snapshot`] — checkpoint format: a whole state as bounded frames.
+//! * `recover` — (checkpoint, segments) → state, and its write-back.
+//! * [`log`] — the [`Wal`]: segments, group commit, background checkpoints.
 //! * [`ship`] — segment shipping: followers tail a leader's log.
 
 pub mod codec;
 pub mod event;
 pub mod frame;
 pub mod log;
+mod recover;
 pub mod ship;
 pub mod snapshot;
 pub mod state;

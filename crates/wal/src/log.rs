@@ -1,5 +1,5 @@
-//! The log itself: segmented append-only files, group commit, snapshots,
-//! compaction, and crash recovery.
+//! The log itself: segmented append-only files, group commit, background
+//! checkpoints, compaction, and crash recovery.
 //!
 //! ## Layout
 //!
@@ -9,8 +9,8 @@
 //!   The filename carries the sequence number of the segment's first
 //!   record; records within a segment are consecutive, so every record's
 //!   seq is recoverable from position alone.
-//! * `snap-<next_seq>.snap` — one framed [`WalState`] document covering all
-//!   records with seq < `next_seq`.
+//! * `snap-<next_seq>.snap` — a checkpoint: a framed [`WalState`] stream
+//!   ([`crate::snapshot`]) covering all records with seq < `next_seq`.
 //!
 //! ## Group commit
 //!
@@ -18,31 +18,50 @@
 //! `appendfsync always`). [`FsyncPolicy::Batched`] is the group-commit hot
 //! path: appends buffer in the OS page cache and return immediately; data
 //! is fsynced when the unsynced run crosses `max_bytes` or when the
-//! background flusher fires on `interval` — so at most one flush interval
+//! maintenance thread fires on `interval` — so at most one flush interval
 //! (or `max_bytes`) of acknowledged-but-unsynced work is exposed to a
 //! *power* failure. A process crash alone loses nothing: the OS still owns
 //! the dirty pages. [`FsyncPolicy::Never`] leaves syncing entirely to the
 //! OS (and to explicit [`Wal::sync`] calls).
 //!
+//! ## Checkpoints
+//!
+//! A checkpoint is recovery written back to disk. [`Wal::append`] only
+//! counts; when a checkpoint is due it cuts the log (rotates to a fresh
+//! segment) and wakes the maintenance thread, which folds the previous
+//! checkpoint and the segments sealed by the cut into a new checkpoint
+//! with the routine [`Wal::open`] recovers with (`recover::fold`),
+//! installs it and unlinks what it supersedes — all without the append
+//! mutex. One is due once `snapshot_every` appends have passed **and** the
+//! log written since the last cut is at least as large as the last
+//! checkpoint (Redis rewrites its append-only file on the same rule), so
+//! checkpoint bytes written stay within a constant factor of log bytes
+//! written however large the state grows, and replay after a crash is
+//! bounded by `max(snapshot_every records, bytes of the last checkpoint)`
+//! plus what was appended while a checkpoint was in flight.
+//!
 //! ## Recovery
 //!
-//! [`Wal::open`] loads the newest decodable snapshot, replays every
-//! surviving record with seq ≥ the snapshot's `next_seq`, truncates the
-//! first torn/corrupt frame and everything after it (a torn tail costs
-//! only the records the OS never persisted), and resumes appending.
+//! [`Wal::open`] loads the newest decodable checkpoint, replays every
+//! surviving record with seq ≥ its `next_seq`, truncates the first
+//! torn/corrupt frame and everything after it (a torn tail costs only the
+//! records the OS never persisted), and resumes appending.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use funcx_telemetry::Counter;
-use parking_lot::Mutex;
+use funcx_telemetry::{fx_log, Counter, Gauge, Histogram};
+use parking_lot::{Condvar, Mutex};
 
 use crate::event::DurableEvent;
-use crate::frame::{decode_all, encode_frame};
-use crate::snapshot::{decode_snapshot, encode_snapshot};
+use crate::frame::frame_with;
+use crate::recover::{self, segment_path};
+use crate::snapshot::Tick;
 use crate::state::WalState;
 
 /// When appended records are fsynced.
@@ -90,14 +109,15 @@ pub struct WalConfig {
     pub fsync: FsyncPolicy,
     /// Rotate to a fresh segment once the current one exceeds this size.
     pub segment_max_bytes: u64,
-    /// Take a snapshot (and compact the log behind it) every N appends;
-    /// `0` disables automatic snapshots.
+    /// Checkpoint (and compact the log behind it) once N appends have
+    /// passed and the log has grown by the size of the last checkpoint;
+    /// `0` disables automatic checkpoints.
     pub snapshot_every: u64,
 }
 
 impl WalConfig {
-    /// Defaults rooted at `dir`: group commit, 8 MiB segments, snapshot
-    /// every 4096 events.
+    /// Defaults rooted at `dir`: group commit, 8 MiB segments, a
+    /// checkpoint no sooner than every 4096 events.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
@@ -114,10 +134,21 @@ impl WalConfig {
 pub struct WalInstruments {
     /// `funcx_wal_appends_total`.
     pub appends: Counter,
-    /// `funcx_wal_fsyncs_total`.
+    /// `funcx_wal_fsyncs_total` (log, checkpoint and directory syncs).
     pub fsyncs: Counter,
-    /// `funcx_wal_bytes_written_total`.
+    /// `funcx_wal_bytes_written_total`: log bytes; checkpoint bytes are
+    /// not log bytes.
     pub bytes_written: Counter,
+    /// `funcx_wal_checkpoints_total`: checkpoints installed.
+    pub checkpoints: Counter,
+    /// `funcx_wal_checkpoint_seconds`: fold + write + install, per
+    /// checkpoint.
+    pub checkpoint_seconds: Histogram,
+    /// `funcx_wal_checkpoint_bytes`: size of the newest checkpoint.
+    pub checkpoint_bytes: Gauge,
+    /// `funcx_wal_live_log_bytes`: segment bytes on disk, i.e. what
+    /// recovery would replay plus what the next compaction will unlink.
+    pub live_log_bytes: Gauge,
 }
 
 impl WalInstruments {
@@ -127,6 +158,10 @@ impl WalInstruments {
             appends: Counter::standalone(),
             fsyncs: Counter::standalone(),
             bytes_written: Counter::standalone(),
+            checkpoints: Counter::standalone(),
+            checkpoint_seconds: Histogram::standalone(),
+            checkpoint_bytes: Gauge::standalone(),
+            live_log_bytes: Gauge::standalone(),
         }
     }
 }
@@ -165,195 +200,205 @@ struct Segment {
     len: u64,
 }
 
+impl Segment {
+    fn create(dir: &Path, first_seq: u64) -> io::Result<Segment> {
+        let file =
+            OpenOptions::new().create(true).append(true).open(segment_path(dir, first_seq))?;
+        Ok(Segment { file, len: 0 })
+    }
+}
+
+/// What the append mutex guards: the open segment and a handful of
+/// counters — no copy of the state, which lives on disk only.
 struct WalInner {
     segment: Segment,
     next_seq: u64,
-    state: WalState,
     unsynced_bytes: u64,
-    appends_since_snapshot: u64,
     last_flush: Instant,
+    /// Appends and log bytes since the log was last cut for a checkpoint
+    /// (or, after `open`, what recovery had to replay).
+    appends_since_cut: u64,
+    bytes_since_cut: u64,
+    /// Size of the newest checkpoint installed or recovered from.
+    checkpoint_bytes: u64,
+    /// Where the log was cut for a checkpoint the maintenance thread has
+    /// not started yet (a later cut replaces an earlier one).
+    pending: Option<u64>,
+    /// The maintenance thread is folding a checkpoint.
+    in_flight: bool,
+    /// Why the last background checkpoint failed, until
+    /// [`Wal::wait_for_checkpoint`] reports it.
+    failed: Option<io::Error>,
+}
+
+/// Everything the maintenance thread shares with the [`Wal`] handle.
+struct Shared {
+    config: WalConfig,
+    instruments: WalInstruments,
+    inner: Mutex<WalInner>,
+    /// Signalled when a checkpoint becomes pending, finishes, or the log
+    /// shuts down: parks the maintenance thread and
+    /// [`Wal::wait_for_checkpoint`] callers.
+    wake: Condvar,
+    /// Held across fold + install, so concurrent checkpoints and
+    /// [`Wal::state`] never see each other's half-done compaction. Taken
+    /// before `inner`, never while holding it.
+    folding: Mutex<()>,
+    shutdown: AtomicBool,
+    /// Times the recovery routine ran on this handle.
+    folds: AtomicU64,
 }
 
 /// The write-ahead log. Cheap to share (`Arc`); all methods take `&self`.
+/// Dropping the last handle syncs the log and joins its maintenance thread.
 pub struct Wal {
-    config: WalConfig,
-    instruments: WalInstruments,
+    shared: Arc<Shared>,
     recovery: RecoveryInfo,
-    inner: Mutex<WalInner>,
-}
-
-fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
-    dir.join(format!("wal-{first_seq:020}.seg"))
-}
-
-fn snapshot_path(dir: &Path, next_seq: u64) -> PathBuf {
-    dir.join(format!("snap-{next_seq:020}.snap"))
-}
-
-/// Parse `prefix-<num>.<ext>` filenames, returning the number.
-fn parse_numbered(name: &str, prefix: &str, ext: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?.strip_suffix(ext)?.parse().ok()
-}
-
-pub(crate) fn list_numbered(
-    dir: &Path,
-    prefix: &str,
-    ext: &str,
-) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(num) = entry.file_name().to_str().and_then(|n| parse_numbered(n, prefix, ext)) {
-            out.push((num, entry.path()));
-        }
-    }
-    out.sort_by_key(|(num, _)| *num);
-    Ok(out)
+    maintenance: Option<JoinHandle<()>>,
 }
 
 impl Wal {
     /// Open (or create) the log at `config.dir`: recover the newest
-    /// decodable snapshot plus the surviving log suffix, truncate any torn
-    /// tail, and return a handle ready to append. Spawns the group-commit
-    /// flusher thread when the policy is [`FsyncPolicy::Batched`].
+    /// decodable checkpoint plus the surviving log suffix, truncate any
+    /// torn tail, and return a handle ready to append. The recovered state
+    /// is dropped; use [`Wal::recover`] to keep it.
     pub fn open(config: WalConfig, instruments: WalInstruments) -> io::Result<Arc<Wal>> {
+        Self::recover(config, instruments).map(|(wal, _)| wal)
+    }
+
+    /// [`Wal::open`], also returning the state recovery rebuilt — the log
+    /// keeps no copy of it, so this is the one replay a restart needs.
+    /// Spawns the `wal-maintenance` thread when the policy is
+    /// [`FsyncPolicy::Batched`] or automatic checkpoints are on.
+    pub fn recover(
+        config: WalConfig,
+        instruments: WalInstruments,
+    ) -> io::Result<(Arc<Wal>, WalState)> {
         fs::create_dir_all(&config.dir)?;
+        recover::remove_stale_tmp(&config.dir)?;
+        let folded = recover::fold(&config.dir, u64::MAX, &mut || Ok(()))?;
 
-        let mut recovery = RecoveryInfo::default();
-        let mut state = WalState::new();
-        let mut replay_from = 0u64;
-
-        // Newest decodable snapshot wins; torn ones are skipped, not fatal.
-        for (next_seq, path) in list_numbered(&config.dir, "snap-", ".snap")?.into_iter().rev() {
-            if let Some((snap_state, snap_next)) = decode_snapshot(&fs::read(&path)?) {
-                debug_assert_eq!(snap_next, next_seq);
-                state = snap_state;
-                replay_from = snap_next;
-                recovery.snapshot_loaded = true;
-                break;
+        // Only the newest segment may be torn; a tear truncates that
+        // segment and orphans any later ones.
+        let mut truncated_bytes = 0;
+        let mut surviving = &folded.segments[..];
+        if let Some(tear) = &folded.tear {
+            truncated_bytes = tear.file_len - tear.valid_len;
+            let file = OpenOptions::new().write(true).open(&folded.segments[tear.index].1)?;
+            file.set_len(tear.valid_len)?;
+            file.sync_data()?;
+            for (_, orphan) in &folded.segments[tear.index + 1..] {
+                fs::remove_file(orphan)?;
             }
-        }
-
-        // Replay segments in seq order. Only the newest segment may be
-        // torn; a tear truncates that segment and orphans any later ones.
-        let segments = list_numbered(&config.dir, "wal-", ".seg")?;
-        let mut next_seq = replay_from;
-        let mut torn = false;
-        for (first_seq, path) in &segments {
-            if torn {
-                fs::remove_file(path)?;
-                continue;
-            }
-            let bytes = fs::read(path)?;
-            let (frames, valid) = decode_all(&bytes);
-            for (i, payload) in frames.iter().enumerate() {
-                let seq = first_seq + i as u64;
-                if seq < replay_from {
-                    continue;
-                }
-                match DurableEvent::from_bytes(payload) {
-                    Some(event) => {
-                        state.apply(&event);
-                        recovery.replayed += 1;
-                    }
-                    None => recovery.skipped += 1,
-                }
-                next_seq = next_seq.max(seq + 1);
-            }
-            next_seq = next_seq.max(first_seq + frames.len() as u64);
-            if (valid as u64) < bytes.len() as u64 {
-                recovery.truncated_bytes += bytes.len() as u64 - valid as u64;
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(valid as u64)?;
-                file.sync_data()?;
-                torn = true;
-            }
+            surviving = &folded.segments[..=tear.index];
         }
 
         // Resume the last surviving segment, or start a fresh one.
-        let segment = match segments.iter().rev().find(|(_, p)| p.exists()) {
+        let segment = match surviving.last() {
             Some((_, path)) => {
                 let file = OpenOptions::new().append(true).open(path)?;
                 let len = file.metadata()?.len();
                 Segment { file, len }
             }
-            None => Self::create_segment(&config.dir, next_seq)?,
+            None => Segment::create(&config.dir, folded.next_seq)?,
         };
 
-        let wal = Arc::new(Wal {
-            recovery,
+        let checkpoint_bytes = folded.checkpoint.map_or(0, |(_, bytes)| bytes);
+        instruments.checkpoint_bytes.set(checkpoint_bytes);
+        let mut live_log_bytes = 0;
+        for (_, path) in surviving {
+            live_log_bytes += fs::metadata(path)?.len();
+        }
+        instruments.live_log_bytes.set(live_log_bytes);
+        let shared = Arc::new(Shared {
             instruments,
             inner: Mutex::new(WalInner {
                 segment,
-                next_seq,
-                state,
+                next_seq: folded.next_seq,
                 unsynced_bytes: 0,
-                appends_since_snapshot: 0,
                 last_flush: Instant::now(),
+                appends_since_cut: folded.replayed + folded.skipped,
+                bytes_since_cut: folded.log_bytes,
+                checkpoint_bytes,
+                pending: None,
+                in_flight: false,
+                failed: None,
             }),
+            wake: Condvar::new(),
+            folding: Mutex::new(()),
+            shutdown: AtomicBool::new(false),
+            folds: AtomicU64::new(1),
             config,
         });
 
-        if let FsyncPolicy::Batched { interval, .. } = wal.config.fsync {
-            let weak: Weak<Wal> = Arc::downgrade(&wal);
-            std::thread::Builder::new()
-                .name("wal-flusher".into())
-                .spawn(move || loop {
-                    std::thread::sleep(interval);
-                    match weak.upgrade() {
-                        Some(wal) => {
-                            let _ = wal.flush_if_stale(interval);
-                        }
-                        None => break,
-                    }
-                })
-                .expect("spawn wal-flusher");
-        }
+        let flush_interval = match shared.config.fsync {
+            FsyncPolicy::Batched { interval, .. } => Some(interval),
+            _ => None,
+        };
+        let maintenance = if flush_interval.is_some() || shared.config.snapshot_every > 0 {
+            let shared = Arc::clone(&shared);
+            Some(
+                std::thread::Builder::new()
+                    .name("wal-maintenance".into())
+                    .spawn(move || shared.maintain(flush_interval))?,
+            )
+        } else {
+            None
+        };
 
-        Ok(wal)
-    }
-
-    fn create_segment(dir: &Path, first_seq: u64) -> io::Result<Segment> {
-        let path = segment_path(dir, first_seq);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Segment { file, len: 0 })
+        let recovery = RecoveryInfo {
+            snapshot_loaded: folded.checkpoint.is_some(),
+            replayed: folded.replayed,
+            skipped: folded.skipped,
+            truncated_bytes,
+        };
+        Ok((Arc::new(Wal { shared, recovery, maintenance }), folded.state))
     }
 
     /// Append one event. Under group commit this buffers and returns
     /// without waiting for the disk; see [`FsyncPolicy`] for the exposure
-    /// window.
+    /// window. An event too large for one frame is refused, not logged:
+    /// recovery would cut the log at it.
     pub fn append(&self, event: &DurableEvent) -> io::Result<AppendInfo> {
-        let framed = encode_frame(&event.to_bytes());
-        let mut inner = self.inner.lock();
+        let shared = &*self.shared;
+        let framed = frame_with(|out| event.encode_into(out))?;
+        let written = framed.len() as u64;
+        let mut inner = shared.inner.lock();
         let seq = inner.next_seq;
 
         inner.segment.file.write_all(&framed)?;
-        inner.segment.len += framed.len() as u64;
+        inner.segment.len += written;
         inner.next_seq += 1;
-        inner.unsynced_bytes += framed.len() as u64;
-        inner.state.apply(event);
+        inner.unsynced_bytes += written;
+        inner.appends_since_cut += 1;
+        inner.bytes_since_cut += written;
 
-        self.instruments.appends.inc();
-        self.instruments.bytes_written.add(framed.len() as u64);
+        shared.instruments.appends.inc();
+        shared.instruments.bytes_written.add(written);
+        shared.instruments.live_log_bytes.add(written);
         let info = AppendInfo { seq, end_offset: inner.segment.len };
 
-        match self.config.fsync {
-            FsyncPolicy::Always => self.sync_locked(&mut inner)?,
+        match shared.config.fsync {
+            FsyncPolicy::Always => shared.sync_locked(&mut inner)?,
             FsyncPolicy::Batched { max_bytes, .. } => {
                 if inner.unsynced_bytes >= max_bytes {
-                    self.sync_locked(&mut inner)?;
+                    shared.sync_locked(&mut inner)?;
                 }
             }
             FsyncPolicy::Never => {}
         }
 
-        inner.appends_since_snapshot += 1;
-        if self.config.snapshot_every > 0
-            && inner.appends_since_snapshot >= self.config.snapshot_every
+        let every = shared.config.snapshot_every;
+        if every > 0
+            && inner.appends_since_cut >= every
+            && inner.bytes_since_cut >= inner.checkpoint_bytes
         {
-            self.snapshot_locked(&mut inner)?;
-        } else if inner.segment.len >= self.config.segment_max_bytes {
-            self.rotate_locked(&mut inner)?;
+            // Checkpoint due: seal what is logged so far and hand it to
+            // the maintenance thread. Nothing else happens here.
+            inner.pending = Some(shared.cut_locked(&mut inner)?);
+            shared.wake.notify_all();
+        } else if inner.segment.len >= shared.config.segment_max_bytes {
+            shared.rotate_locked(&mut inner)?;
         }
 
         Ok(info)
@@ -361,20 +406,49 @@ impl Wal {
 
     /// Force all buffered appends to disk.
     pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        self.sync_locked(&mut inner)
+        let mut inner = self.shared.inner.lock();
+        self.shared.sync_locked(&mut inner)
     }
 
-    /// Write a snapshot of the current state and compact every segment the
-    /// snapshot covers.
+    /// Checkpoint everything appended so far and compact the log behind
+    /// it, on the calling thread: cut the log, fold, install. Appends are
+    /// held only for the cut.
     pub fn snapshot_now(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        self.snapshot_locked(&mut inner)
+        let shared = &*self.shared;
+        let upto = {
+            let mut inner = shared.inner.lock();
+            // This checkpoint covers any cut still waiting its turn.
+            inner.pending = None;
+            shared.wake.notify_all();
+            shared.cut_locked(&mut inner)?
+        };
+        shared.checkpoint(upto, &mut || Ok(()))
     }
 
-    /// Clone of the shadow state (recovery's target on next open).
+    /// Return once no background checkpoint is pending or in flight, with
+    /// the error of the last one if it failed since the previous
+    /// call (the log is intact either way: a failed checkpoint installs
+    /// nothing, and the next one due covers the same records).
+    pub fn wait_for_checkpoint(&self) -> io::Result<()> {
+        let mut inner = self.shared.inner.lock();
+        while inner.pending.is_some() || inner.in_flight {
+            self.shared.wake.wait(&mut inner);
+        }
+        inner.failed.take().map_or(Ok(()), Err)
+    }
+
+    /// The state a recovery would rebuild from the files on disk right now
+    /// (every append that has returned is in it). Runs the recovery
+    /// routine — the log holds no copy — so this is a diagnostic, not a
+    /// hot path. Panics if the log's own files cannot be read back.
     pub fn state(&self) -> WalState {
-        self.inner.lock().state.clone()
+        let shared = &*self.shared;
+        let _folding = shared.folding.lock();
+        let upto = shared.inner.lock().next_seq;
+        shared.folds.fetch_add(1, Ordering::Relaxed);
+        recover::fold(&shared.config.dir, upto, &mut || Ok(()))
+            .expect("the log being appended to must read back")
+            .state
     }
 
     /// What `open` recovered.
@@ -384,19 +458,28 @@ impl Wal {
 
     /// Sequence number the next append will get.
     pub fn next_seq(&self) -> u64 {
-        self.inner.lock().next_seq
+        self.shared.inner.lock().next_seq
+    }
+
+    /// How many times the recovery routine has run on this handle: once
+    /// in `open`, once per checkpoint, once per [`Wal::state`] —
+    /// diagnostics/tests.
+    pub fn folds(&self) -> u64 {
+        self.shared.folds.load(Ordering::Relaxed)
     }
 
     /// Files currently on disk (segments, snapshots) — diagnostics/tests.
     pub fn disk_files(&self) -> io::Result<Vec<String>> {
-        let mut names: Vec<String> = fs::read_dir(&self.config.dir)?
+        let mut names: Vec<String> = fs::read_dir(&self.shared.config.dir)?
             .filter_map(|e| e.ok())
             .filter_map(|e| e.file_name().to_str().map(String::from))
             .collect();
         names.sort();
         Ok(names)
     }
+}
 
+impl Shared {
     fn sync_locked(&self, inner: &mut WalInner) -> io::Result<()> {
         if inner.unsynced_bytes > 0 {
             inner.segment.file.sync_data()?;
@@ -407,59 +490,120 @@ impl Wal {
         Ok(())
     }
 
-    /// Flusher-thread entry: sync only if a full interval passed without
-    /// an inline (threshold-triggered) sync.
-    fn flush_if_stale(&self, interval: Duration) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.unsynced_bytes > 0 && inner.last_flush.elapsed() >= interval {
-            self.sync_locked(&mut inner)?;
-        }
-        Ok(())
-    }
-
     fn rotate_locked(&self, inner: &mut WalInner) -> io::Result<()> {
         self.sync_locked(inner)?;
-        inner.segment = Self::create_segment(&self.config.dir, inner.next_seq)?;
+        inner.segment = Segment::create(&self.config.dir, inner.next_seq)?;
         Ok(())
     }
 
-    /// Snapshot the shadow state covering `< next_seq`, rotate to a fresh
-    /// segment, then delete every older segment and snapshot — the new
-    /// snapshot supersedes them all.
-    fn snapshot_locked(&self, inner: &mut WalInner) -> io::Result<()> {
-        self.sync_locked(inner)?;
-        let next_seq = inner.next_seq;
-        let snap_path = snapshot_path(&self.config.dir, next_seq);
-        let bytes = encode_snapshot(&inner.state, next_seq);
-        let tmp = snap_path.with_extension("snap.tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_data()?;
+    /// Cut the log for a checkpoint: seal the open segment, start a fresh
+    /// one, restart the due-rule counters. Returns the cut — the first
+    /// sequence number the checkpoint will *not* cover.
+    fn cut_locked(&self, inner: &mut WalInner) -> io::Result<u64> {
+        self.rotate_locked(inner)?;
+        inner.appends_since_cut = 0;
+        inner.bytes_since_cut = 0;
+        Ok(inner.next_seq)
+    }
+
+    /// Group commit's timer: sync only if a full interval passed without
+    /// an inline (threshold-triggered) sync.
+    fn flush_if_stale(&self, inner: &mut WalInner, interval: Duration) {
+        if inner.unsynced_bytes > 0 && inner.last_flush.elapsed() >= interval {
+            // A failed sync stays unsynced and is retried next interval.
+            let _ = self.sync_locked(inner);
         }
-        fs::rename(&tmp, &snap_path)?;
-        self.instruments.fsyncs.inc();
+    }
 
-        inner.segment = Self::create_segment(&self.config.dir, next_seq)?;
-        inner.appends_since_snapshot = 0;
-
-        for (first_seq, path) in list_numbered(&self.config.dir, "wal-", ".seg")? {
-            if first_seq < next_seq {
-                fs::remove_file(path)?;
+    /// The maintenance thread: parked on `wake` with the flush interval as
+    /// its timeout, it does the stale flush and the due checkpoint, and
+    /// leaves when the handle is dropped.
+    fn maintain(&self, flush_interval: Option<Duration>) {
+        let mut inner = self.inner.lock();
+        while !self.shutdown.load(Ordering::SeqCst) {
+            if let Some(upto) = inner.pending.take() {
+                inner.in_flight = true;
+                drop(inner);
+                // Between units of fold work: stop if the log is closing,
+                // and keep group commit's promise while the fold runs.
+                let result = self.checkpoint(upto, &mut || {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        return Err(io::ErrorKind::Interrupted.into());
+                    }
+                    if let Some(interval) = flush_interval {
+                        self.flush_if_stale(&mut self.inner.lock(), interval);
+                    }
+                    Ok(())
+                });
+                inner = self.inner.lock();
+                inner.in_flight = false;
+                if let Err(error) = result {
+                    if error.kind() != io::ErrorKind::Interrupted {
+                        fx_log!(Warn, "wal", "checkpoint failed", upto = upto, error = error);
+                        inner.failed = Some(error);
+                    }
+                }
+                self.wake.notify_all();
+                continue;
+            }
+            match flush_interval {
+                Some(interval) => {
+                    self.flush_if_stale(&mut inner, interval);
+                    self.wake.wait_until(&mut inner, Instant::now() + interval);
+                }
+                None => self.wake.wait(&mut inner),
             }
         }
-        for (snap_seq, path) in list_numbered(&self.config.dir, "snap-", ".snap")? {
-            if snap_seq < next_seq {
-                fs::remove_file(path)?;
-            }
+    }
+
+    /// Fold the previous checkpoint and the segments sealed below `upto`
+    /// into the checkpoint at `upto`, install it, compact. Never holds the
+    /// append mutex for longer than a counter update.
+    fn checkpoint(&self, upto: u64, tick: Tick<'_>) -> io::Result<()> {
+        let _folding = self.folding.lock();
+        let started = Instant::now();
+        self.folds.fetch_add(1, Ordering::Relaxed);
+        let folded = recover::fold(&self.config.dir, upto, &mut *tick)?;
+        if folded.checkpoint.is_some_and(|(seq, _)| seq > upto) {
+            return Ok(()); // a later cut was checkpointed first
         }
+        if folded.tear.is_some() || folded.next_seq != upto {
+            // Installing would unlink records the checkpoint does not hold.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "sealed segments end at seq {}, short of the cut at {upto}",
+                    folded.next_seq
+                ),
+            ));
+        }
+        let (checkpoint_bytes, log_bytes_removed) =
+            recover::install(&self.config.dir, &folded.state, upto, tick)?;
+
+        self.inner.lock().checkpoint_bytes = checkpoint_bytes;
+        let instruments = &self.instruments;
+        instruments.fsyncs.add(2); // the checkpoint file and its directory
+        instruments.checkpoints.inc();
+        instruments.checkpoint_seconds.record(started.elapsed());
+        instruments.checkpoint_bytes.set(checkpoint_bytes);
+        instruments.live_log_bytes.sub(log_bytes_removed);
         Ok(())
     }
 }
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        let mut inner = self.inner.lock();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Notify under the mutex: the thread is either before its shutdown
+        // check or parked, never between the two.
+        {
+            let _inner = self.shared.inner.lock();
+            self.shared.wake.notify_all();
+        }
+        if let Some(thread) = self.maintenance.take() {
+            let _ = thread.join();
+        }
+        let mut inner = self.shared.inner.lock();
         if inner.unsynced_bytes > 0 {
             let _ = inner.segment.file.sync_data();
             inner.unsynced_bytes = 0;
@@ -471,6 +615,7 @@ impl Drop for Wal {
 mod tests {
     use super::*;
     use crate::event::QueueKind;
+    use crate::recover::snapshot_path;
     use funcx_types::EndpointId;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -586,6 +731,7 @@ mod tests {
                 wal.append(&push(i)).unwrap();
             }
             wal.sync().unwrap();
+            wal.wait_for_checkpoint().unwrap();
             let files = wal.disk_files().unwrap();
             assert_eq!(
                 files.iter().filter(|f| f.starts_with("snap-")).count(),
@@ -621,6 +767,7 @@ mod tests {
                 wal.append(&push(i)).unwrap();
             }
             wal.sync().unwrap();
+            wal.wait_for_checkpoint().unwrap();
             wal.state()
         };
         // Corrupt the snapshot; the log was compacted, but the snapshot-time
@@ -701,7 +848,176 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(instruments.fsyncs.get() >= 1, "flusher never fired");
-        drop(wal); // flusher exits once the last Arc is gone
+        drop(wal); // joins the maintenance thread
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_waits_for_the_log_to_outgrow_the_last_one() {
+        let dir = tmp_dir("due");
+        let instruments = WalInstruments::standalone();
+        let mut cfg = config(&dir);
+        cfg.snapshot_every = 4;
+        let wal = Wal::open(cfg, instruments.clone()).unwrap();
+        let big = DurableEvent::MemoInsert { key: 1, codec: b'N', body: vec![7; 4096] };
+        wal.append(&big).unwrap();
+        for i in 0..3 {
+            wal.append(&push(i)).unwrap();
+        }
+        wal.wait_for_checkpoint().unwrap();
+        assert_eq!(instruments.checkpoints.get(), 1, "first checkpoint after 4 appends");
+        let checkpoint_bytes = instruments.checkpoint_bytes.get();
+        assert!(checkpoint_bytes > 4096);
+
+        // Four more appends are not enough: the log since the cut is a few
+        // hundred bytes against a checkpoint of over four thousand.
+        let frame_len = |e: &DurableEvent| frame_with(|o| e.encode_into(o)).unwrap().len() as u64;
+        let mut appended = 0;
+        while instruments.checkpoints.get() == 1 {
+            assert!(
+                instruments.live_log_bytes.get() < checkpoint_bytes + frame_len(&push(0)),
+                "overdue after {appended} small appends"
+            );
+            wal.append(&push(100 + appended)).unwrap();
+            wal.wait_for_checkpoint().unwrap();
+            appended += 1;
+        }
+        assert!(appended > 4 * 4, "the byte rule, not the append count, set the cadence");
+        assert_eq!(instruments.checkpoints.get(), 2);
+        assert_eq!(instruments.live_log_bytes.get(), 0, "compacted behind the second one");
+        // Checkpoint bytes are not log bytes; their fsyncs are fsyncs.
+        assert_eq!(
+            instruments.bytes_written.get(),
+            frame_len(&big) + (3 + appended) * frame_len(&push(0))
+        );
+        assert_eq!(instruments.fsyncs.get(), 2 * (1 + 2), "per checkpoint: cut, file, directory");
+        drop(wal);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn appends_return_while_a_checkpoint_is_in_flight() {
+        let dir = tmp_dir("inflight");
+        let instruments = WalInstruments::standalone();
+        let mut cfg = config(&dir);
+        cfg.snapshot_every = 50_000;
+        let wal = Wal::open(cfg.clone(), instruments.clone()).unwrap();
+        // Holding the fold gate keeps the checkpoint in flight for as long
+        // as the test wants: the interleaving is forced, not hoped for.
+        let gate = wal.shared.folding.lock();
+        for i in 0..50_000 {
+            wal.append(&push(i)).unwrap();
+        }
+        // The 50 000th append cut the log and woke the maintenance thread,
+        // which has 50 000 records to fold and cannot finish. These must
+        // not queue behind it: all of them are back before it installs
+        // anything.
+        while !wal.shared.inner.lock().in_flight {
+            std::thread::yield_now();
+        }
+        for i in 0..1_000 {
+            wal.append(&push(50_000 + i)).unwrap();
+        }
+        assert_eq!(instruments.checkpoints.get(), 0);
+        assert!(wal.shared.inner.lock().in_flight);
+        drop(gate);
+        wal.wait_for_checkpoint().unwrap();
+        assert_eq!(instruments.checkpoints.get(), 1);
+        assert_eq!(wal.next_seq(), 51_000);
+        drop(wal);
+
+        let wal = Wal::open(cfg, WalInstruments::standalone()).unwrap();
+        let info = wal.recovery_info();
+        assert!(info.snapshot_loaded);
+        assert_eq!(info.replayed, 1_000, "exactly what was appended behind the cut");
+        let queue = &wal.state().queues[&(EndpointId::from_u128(1), QueueKind::Task)];
+        assert_eq!(queue.len(), 51_000);
+        drop(wal);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_event_is_refused_not_logged() {
+        let dir = tmp_dir("oversized");
+        let wal = Wal::open(config(&dir), WalInstruments::standalone()).unwrap();
+        wal.append(&push(0)).unwrap();
+        let huge = DurableEvent::MemoInsert {
+            key: 9,
+            codec: b'N',
+            body: vec![0; crate::frame::MAX_PAYLOAD],
+        };
+        let err = wal.append(&huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(wal.next_seq(), 1, "a refused event takes no sequence number");
+        wal.append(&push(1)).unwrap();
+        drop(wal);
+        let wal = Wal::open(config(&dir), WalInstruments::standalone()).unwrap();
+        assert_eq!(wal.recovery_info().replayed, 2);
+        assert_eq!(wal.recovery_info().truncated_bytes, 0);
+        drop(wal);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_state_and_both_checkpoints_run_the_one_recovery_routine() {
+        let dir = tmp_dir("folds");
+        let mut cfg = config(&dir);
+        cfg.snapshot_every = 8;
+        let (wal, recovered) = Wal::recover(cfg, WalInstruments::standalone()).unwrap();
+        assert_eq!(recovered, WalState::new());
+        assert_eq!(wal.folds(), 1, "open");
+        for i in 0..8 {
+            wal.append(&push(i)).unwrap();
+        }
+        wal.wait_for_checkpoint().unwrap();
+        assert_eq!(wal.folds(), 2, "the background checkpoint");
+        wal.append(&push(8)).unwrap();
+        wal.snapshot_now().unwrap();
+        assert_eq!(wal.folds(), 3, "snapshot_now");
+        let state = wal.state();
+        assert_eq!(wal.folds(), 4, "state");
+        assert_eq!(state.queues[&(EndpointId::from_u128(1), QueueKind::Task)].len(), 9);
+        drop(wal);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_handle_joins_the_maintenance_thread() {
+        let dir = tmp_dir("join");
+        let mut cfg = config(&dir);
+        cfg.fsync =
+            FsyncPolicy::Batched { interval: Duration::from_secs(3600), max_bytes: 1 << 20 };
+        cfg.snapshot_every = 1_000;
+        let wal = Wal::open(cfg, WalInstruments::standalone()).unwrap();
+        for i in 0..1_000 {
+            wal.append(&push(i)).unwrap();
+        }
+        // The thread holds the only other reference to the shared half; a
+        // checkpoint may be pending or in flight, and the flush timer has
+        // an hour to run. Drop must not wait for either, and must not
+        // leave the thread behind.
+        let shared = Arc::downgrade(&wal.shared);
+        drop(wal);
+        assert!(shared.upgrade().is_none(), "wal-maintenance outlived its Wal");
+        let leftovers: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.unwrap().file_name().into_string().ok())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "an abandoned checkpoint left {leftovers:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_checkpoint_tmp_is_removed_on_open() {
+        let dir = tmp_dir("staletmp");
+        fs::create_dir_all(&dir).unwrap();
+        let tmp = dir.join("snap-00000000000000000007.snap.tmp");
+        fs::write(&tmp, b"a writer died here").unwrap();
+        let wal = Wal::open(config(&dir), WalInstruments::standalone()).unwrap();
+        assert!(!tmp.exists());
+        assert_eq!(wal.next_seq(), 0);
+        drop(wal);
         fs::remove_dir_all(&dir).unwrap();
     }
 

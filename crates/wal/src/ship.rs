@@ -19,13 +19,14 @@
 //!   state and tracks the acked sequence the leader uses to compute
 //!   shipping lag (gossiped back in the membership table).
 
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, BufReader};
 use std::path::{Path, PathBuf};
 
 use crate::event::DurableEvent;
 use crate::frame::decode_all;
-use crate::log::list_numbered;
-use crate::snapshot::decode_snapshot;
+use crate::recover::{list_numbered, wholly_below};
+use crate::snapshot::{read_checkpoint, verify_checkpoint};
 use crate::state::WalState;
 
 /// One batch of shipped log content.
@@ -71,22 +72,20 @@ impl SegmentShipper {
 
     /// Sequence number one past the newest decodable frame on disk — the
     /// leader's shippable tip. Lag for a follower acked at `a` is
-    /// `tip - a`.
+    /// `tip - a`. Reads the newest checkpoint's frames (CRCs, header and
+    /// trailer; no state is built) and the newest segment only: a sealed
+    /// segment reaches exactly to its successor's base.
     pub fn tip(&self) -> io::Result<u64> {
         let mut tip = 0u64;
         for (snap_next, path) in list_numbered(&self.dir, "snap-", ".snap")?.into_iter().rev() {
-            if decode_snapshot(&std::fs::read(&path)?).is_some() {
+            if verify_checkpoint(BufReader::new(File::open(&path)?))?.is_some() {
                 tip = snap_next;
                 break;
             }
         }
-        for (first_seq, path) in list_numbered(&self.dir, "wal-", ".seg")? {
-            let bytes = std::fs::read(&path)?;
-            let (frames, valid) = decode_all(&bytes);
-            tip = tip.max(first_seq + frames.len() as u64);
-            if (valid as u64) < bytes.len() as u64 {
-                break; // torn tail: later segments are unreachable
-            }
+        if let Some((first_seq, path)) = list_numbered(&self.dir, "wal-", ".seg")?.last() {
+            let bytes = fs::read(path)?;
+            tip = tip.max(first_seq + decode_all(&bytes).0.len() as u64);
         }
         Ok(tip)
     }
@@ -116,7 +115,8 @@ impl SegmentShipper {
                 if snap_next <= from_seq {
                     break;
                 }
-                if let Some((state, next_seq)) = decode_snapshot(&std::fs::read(&path)?) {
+                let reader = BufReader::new(File::open(&path)?);
+                if let Some((state, next_seq)) = read_checkpoint(reader, &mut || Ok(()))? {
                     return Ok(Shipment::Snapshot { state: Box::new(state), next_seq });
                 }
             }
@@ -127,14 +127,15 @@ impl SegmentShipper {
 
         let mut events = Vec::new();
         let mut skipped = 0u64;
-        for (first_seq, path) in &segments {
+        for (index, (first_seq, path)) in segments.iter().enumerate() {
             if events.len() >= max_events {
                 break;
             }
-            // Skip whole segments below the requested range. A segment's
-            // reach is unknowable without reading it, so only the base
-            // offset prunes; in-range frames are filtered per-frame.
-            let bytes = std::fs::read(path)?;
+            // Tailing a long log reads its newest segment, not its history.
+            if wholly_below(&segments, index, from_seq) {
+                continue;
+            }
+            let bytes = fs::read(path)?;
             let (frames, valid) = decode_all(&bytes);
             for (i, payload) in frames.iter().enumerate() {
                 let seq = first_seq + i as u64;
@@ -149,7 +150,7 @@ impl SegmentShipper {
                     None => skipped += 1,
                 }
             }
-            if (valid as u64) < bytes.len() as u64 {
+            if valid < bytes.len() {
                 break; // torn tail: stop; the next poll retries from here
             }
         }
@@ -370,6 +371,58 @@ mod tests {
         let items = &follower.state().queues[&(ep, crate::event::QueueKind::Task)];
         assert_eq!(items.len(), 3, "one of four pushes was popped");
         assert_eq!(items[0], 1u128.to_be_bytes().to_vec());
+
+        drop(wal);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tailing_never_opens_segments_below_the_requested_range() {
+        let dir = tmp_dir("skip");
+        let config = WalConfig {
+            fsync: FsyncPolicy::Never,
+            segment_max_bytes: 64, // a segment per record or two
+            snapshot_every: 0,
+            ..WalConfig::new(dir.clone())
+        };
+        let wal = Wal::open(config, WalInstruments::standalone()).unwrap();
+        let mut i = 0;
+        while list_numbered(&dir, "wal-", ".seg").unwrap().len() < 11 {
+            wal.append(&event(i)).unwrap();
+            i += 1;
+        }
+        wal.append(&event(i)).unwrap();
+        wal.sync().unwrap();
+        let shipper = SegmentShipper::new(&dir);
+        let tip = shipper.tip().unwrap();
+        assert_eq!(tip, wal.next_seq());
+
+        // Ten sealed segments and the open one. Overwrite the nine oldest
+        // with garbage: a reader that touched them would stop at the tear.
+        let segments = list_numbered(&dir, "wal-", ".seg").unwrap();
+        assert_eq!(segments.len(), 11);
+        for (_, path) in &segments[..9] {
+            std::fs::write(path, b"not a frame, not even close").unwrap();
+        }
+        assert_eq!(shipper.tip().unwrap(), tip);
+        match shipper.ship_from(tip - 1, 100).unwrap() {
+            Shipment::Events { events, skipped } => {
+                assert_eq!(skipped, 0);
+                assert_eq!(events.len(), 1);
+                assert_eq!(events[0].0, tip - 1);
+                assert_eq!(events[0].1, event(i));
+            }
+            other => panic!("expected the newest record, got {other:?}"),
+        }
+        // From the tenth segment's base on, both intact segments ship.
+        let from = segments[9].0;
+        match shipper.ship_from(from, 100).unwrap() {
+            Shipment::Events { events, .. } => {
+                let seqs: Vec<u64> = events.iter().map(|(seq, _)| *seq).collect();
+                assert_eq!(seqs, (from..tip).collect::<Vec<_>>());
+            }
+            other => panic!("expected events, got {other:?}"),
+        }
 
         drop(wal);
         std::fs::remove_dir_all(&dir).ok();

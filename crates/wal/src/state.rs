@@ -1,12 +1,12 @@
 //! The materialized view of the log: what the service's durable state
 //! looks like after applying a prefix of [`DurableEvent`]s.
 //!
-//! The `Wal` keeps one of these up to date as events are appended (the
-//! *shadow state*), which makes snapshots cheap — serialize the shadow —
-//! and gives recovery a single invariant to satisfy:
+//! Nothing keeps one of these resident beside the log: recovery builds it,
+//! a checkpoint is recovery's result written back, a follower holds the
+//! one it tails. They all satisfy a single invariant:
 //!
-//! > snapshot + replay of the surviving log suffix == the shadow state the
-//! > writer held at its last durable append.
+//! > checkpoint + replay of the surviving log suffix == replay of the whole
+//! > history up to the last durable append.
 //!
 //! `apply` must never panic: the log being replayed may be an arbitrary
 //! valid prefix of history (a crash can land between any two appends), so
@@ -23,7 +23,7 @@ use funcx_types::{EndpointId, FunctionId, TaskId};
 
 use crate::event::{DurableEvent, QueueKind};
 
-/// Durable state reconstructed from (or shadowing) the log.
+/// Durable state reconstructed from the log.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WalState {
     /// Task records by id — the Redis task-store substitute.
@@ -57,35 +57,42 @@ impl WalState {
     /// transition, unknown task) are ignored, because a replayed prefix may
     /// legitimately stop before the event that would have made them valid.
     pub fn apply(&mut self, event: &DurableEvent) {
+        self.apply_owned(event.clone());
+    }
+
+    /// [`WalState::apply`] for a caller that is done with the event (replay
+    /// decodes each record only to apply it): payloads move into the state
+    /// instead of being copied a second time.
+    pub fn apply_owned(&mut self, event: DurableEvent) {
         match event {
             DurableEvent::TaskCreated { record } => {
                 // Dedup by task id: a re-logged creation replaces wholesale.
                 let task_id = record.spec.task_id;
                 self.dispatch_order.retain(|id| *id != task_id);
-                self.tasks.insert(task_id, (**record).clone());
+                self.tasks.insert(task_id, *record);
             }
             DurableEvent::TaskDispatched { task_id } => {
-                if let Some(record) = self.tasks.get_mut(task_id) {
+                if let Some(record) = self.tasks.get_mut(&task_id) {
                     if record.state.can_transition_to(TaskState::DispatchedToEndpoint) {
                         record.state = TaskState::DispatchedToEndpoint;
                         record.delivery_count += 1;
-                        if !self.dispatch_order.contains(task_id) {
-                            self.dispatch_order.push(*task_id);
+                        if !self.dispatch_order.contains(&task_id) {
+                            self.dispatch_order.push(task_id);
                         }
                     }
                 }
             }
             DurableEvent::TaskRequeued { task_id, endpoint_id } => {
-                if let Some(record) = self.tasks.get_mut(task_id) {
+                if let Some(record) = self.tasks.get_mut(&task_id) {
                     if record.state.can_transition_to(TaskState::WaitingForEndpoint) {
                         record.state = TaskState::WaitingForEndpoint;
-                        record.spec.endpoint_id = *endpoint_id;
-                        self.dispatch_order.retain(|id| id != task_id);
+                        record.spec.endpoint_id = endpoint_id;
+                        self.dispatch_order.retain(|id| *id != task_id);
                     }
                 }
             }
             DurableEvent::ResultStored { task_id, outcome, timeline } => {
-                if let Some(record) = self.tasks.get_mut(task_id) {
+                if let Some(record) = self.tasks.get_mut(&task_id) {
                     // Dedup: the first stored result for a task id wins;
                     // a duplicate delivery replays into a no-op.
                     if !record.state.is_terminal() {
@@ -94,46 +101,46 @@ impl WalState {
                         } else {
                             TaskState::Failed
                         };
-                        record.outcome = Some(outcome.clone());
-                        record.timeline = *timeline;
-                        self.dispatch_order.retain(|id| id != task_id);
+                        record.outcome = Some(outcome);
+                        record.timeline = timeline;
+                        self.dispatch_order.retain(|id| *id != task_id);
                     }
                 }
             }
             DurableEvent::ResultRetrieved { task_id, at_nanos } => {
-                if let Some(record) = self.tasks.get_mut(task_id) {
+                if let Some(record) = self.tasks.get_mut(&task_id) {
                     if record.state.is_terminal() {
-                        record.retrieved_at = Some(VirtualInstant::from_nanos(*at_nanos));
+                        record.retrieved_at = Some(VirtualInstant::from_nanos(at_nanos));
                     }
                 }
             }
             DurableEvent::TaskPurged { task_id } => {
-                self.tasks.remove(task_id);
-                self.dispatch_order.retain(|id| id != task_id);
+                self.tasks.remove(&task_id);
+                self.dispatch_order.retain(|id| *id != task_id);
             }
             DurableEvent::TaskFailed { task_id, error } => {
-                if let Some(record) = self.tasks.get_mut(task_id) {
+                if let Some(record) = self.tasks.get_mut(&task_id) {
                     if !record.state.is_terminal() {
                         record.state = TaskState::Failed;
-                        record.outcome = Some(TaskOutcome::Failure(error.clone()));
-                        self.dispatch_order.retain(|id| id != task_id);
+                        record.outcome = Some(TaskOutcome::Failure(error));
+                        self.dispatch_order.retain(|id| *id != task_id);
                     }
                 }
             }
             DurableEvent::QueuePush { endpoint_id, kind, front, item } => {
-                if self.removed_queues.contains(endpoint_id) {
+                if self.removed_queues.contains(&endpoint_id) {
                     return;
                 }
-                let queue = self.queues.entry((*endpoint_id, *kind)).or_default();
-                if *front {
-                    queue.push_front(item.clone());
+                let queue = self.queues.entry((endpoint_id, kind)).or_default();
+                if front {
+                    queue.push_front(item);
                 } else {
-                    queue.push_back(item.clone());
+                    queue.push_back(item);
                 }
             }
             DurableEvent::QueuePop { endpoint_id, kind, count } => {
-                if let Some(queue) = self.queues.get_mut(&(*endpoint_id, *kind)) {
-                    for _ in 0..*count {
+                if let Some(queue) = self.queues.get_mut(&(endpoint_id, kind)) {
+                    for _ in 0..count {
                         if queue.pop_front().is_none() {
                             break;
                         }
@@ -141,27 +148,27 @@ impl WalState {
                 }
             }
             DurableEvent::QueuesRemoved { endpoint_id } => {
-                self.queues.remove(&(*endpoint_id, QueueKind::Task));
-                self.queues.remove(&(*endpoint_id, QueueKind::Result));
-                self.removed_queues.insert(*endpoint_id);
+                self.queues.remove(&(endpoint_id, QueueKind::Task));
+                self.queues.remove(&(endpoint_id, QueueKind::Result));
+                self.removed_queues.insert(endpoint_id);
             }
             DurableEvent::MemoInsert { key, codec, body } => {
-                self.memo.insert(*key, (*codec, body.clone()));
+                self.memo.insert(key, (codec, body));
             }
             DurableEvent::KvSet { key, field, value, expires_at_nanos } => {
-                self.kv.insert((key.clone(), field.clone()), (value.clone(), *expires_at_nanos));
+                self.kv.insert((key, field), (value, expires_at_nanos));
             }
             DurableEvent::KvDel { key, field } => {
-                self.kv.remove(&(key.clone(), field.clone()));
+                self.kv.remove(&(key, field));
             }
             DurableEvent::EndpointRegistered { record } => {
-                self.endpoints.insert(record.endpoint_id, (**record).clone());
+                self.endpoints.insert(record.endpoint_id, *record);
             }
             DurableEvent::EndpointDeregistered { endpoint_id } => {
-                self.endpoints.remove(endpoint_id);
+                self.endpoints.remove(&endpoint_id);
             }
             DurableEvent::FunctionRegistered { record } => {
-                self.functions.insert(record.function_id, (**record).clone());
+                self.functions.insert(record.function_id, *record);
             }
         }
     }
