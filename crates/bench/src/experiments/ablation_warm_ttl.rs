@@ -3,13 +3,17 @@
 //! §4.7 keeps containers warm "for a short period of time (5-10 minutes)".
 //! This ablation drives a sporadic arrival process (the paper repeatedly
 //! stresses that "funcX workloads are often sporadic") against the warm
-//! pool and sweeps the TTL: too short re-pays Theta's ~10 s cold start on
+//! pool (the engine's [`TieredPool`] with a tier model that keeps no
+//! snapshots, which is the paper's TTL-only cache) and sweeps the TTL: too short re-pays Theta's ~10 s cold start on
 //! every burst; longer TTLs buy hit rate at the cost of holding resources
 //! idle (which the agent would otherwise release, §4.3).
 
 use std::time::Duration;
 
-use funcx_container::{Acquired, ColdStartModel, ContainerTech, SystemProfile, WarmPool};
+use funcx_container::{
+    AcquireTier, ColdStartModel, ContainerInstance, ContainerTech, PoolConfig, SystemProfile,
+    TierModel, TieredPool,
+};
 use funcx_types::time::ManualClock;
 use funcx_types::ContainerImageId;
 use rand::rngs::StdRng;
@@ -37,6 +41,42 @@ pub fn run(tasks: usize, mean_gap_s: f64, seed: u64) -> Vec<TtlPoint> {
     ttls.iter().map(|&ttl| run_point(tasks, mean_gap_s, ttl, seed)).collect()
 }
 
+/// The tier model of the paper's TTL-only cache, shared with the `warmstart`
+/// bench's `ttl` policy: a miss is whatever cold start the closure performs
+/// and prices, and no snapshot is kept, so the pool never clones or
+/// pre-mints.
+pub struct TtlOnly<F>(pub F);
+
+impl<F> TierModel<ContainerImageId, ContainerInstance> for TtlOnly<F>
+where
+    F: FnMut(ContainerImageId) -> (ContainerInstance, Duration),
+{
+    type Error = std::convert::Infallible;
+
+    fn warm_cost(&self) -> Duration {
+        Duration::ZERO
+    }
+
+    fn mint(
+        &mut self,
+        _: ContainerImageId,
+        _: &ContainerInstance,
+    ) -> (ContainerInstance, Duration) {
+        unreachable!("no snapshot is ever kept")
+    }
+
+    fn cold_start(
+        &mut self,
+        image: ContainerImageId,
+    ) -> Result<(ContainerInstance, Duration), Self::Error> {
+        Ok((self.0)(image))
+    }
+
+    fn snapshot(&mut self, _: &ContainerInstance) -> Option<ContainerInstance> {
+        None
+    }
+}
+
 fn run_point(tasks: usize, mean_gap_s: f64, ttl_s: f64, seed: u64) -> TtlPoint {
     let clock = ManualClock::new();
     let ttl = if ttl_s.is_finite() {
@@ -44,7 +84,10 @@ fn run_point(tasks: usize, mean_gap_s: f64, ttl_s: f64, seed: u64) -> TtlPoint {
     } else {
         Duration::from_secs(u32::MAX as u64)
     };
-    let pool = WarmPool::with_ttl(clock.clone(), ttl);
+    let pool = TieredPool::new(
+        clock.clone(),
+        PoolConfig { global_capacity: usize::MAX, ..PoolConfig::with_ttl(ttl) },
+    );
     let model = ColdStartModel::for_pair(SystemProfile::ThetaKnl, ContainerTech::Singularity);
     let image = ContainerImageId::from_u128(1);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -61,33 +104,28 @@ fn run_point(tasks: usize, mean_gap_s: f64, ttl_s: f64, seed: u64) -> TtlPoint {
         clock.advance(Duration::from_secs_f64(gap));
         now_s += gap;
 
-        let instance = match pool.acquire(image) {
-            Acquired::Warm(inst) => {
-                // Idle time this instance spent waiting warm.
-                if let Some(at) = last_release_at {
-                    idle_seconds += now_s - at;
-                }
-                inst
+        // A miss samples the Table 2 model from the run's RNG.
+        let mut tiers = TtlOnly(|image| {
+            instance_counter += 1;
+            let tech = ContainerTech::Singularity;
+            (ContainerInstance { instance: instance_counter, image, tech }, model.sample(&mut rng))
+        });
+        let Ok((instance, tier, cost)) = pool.resolve(image, &mut tiers);
+        if tier == AcquireTier::Warm {
+            // Idle time this instance spent waiting warm.
+            if let Some(at) = last_release_at {
+                idle_seconds += now_s - at;
             }
-            Acquired::Cold => {
-                cold_seconds += model.sample(&mut rng).as_secs_f64();
-                instance_counter += 1;
-                funcx_container::ContainerInstance {
-                    instance: instance_counter,
-                    image,
-                    tech: ContainerTech::Singularity,
-                }
-            }
-        };
+        }
+        cold_seconds += cost.as_secs_f64();
         // Execute 1 s, then release back warm.
         clock.advance(Duration::from_secs(1));
         now_s += 1.0;
-        pool.release(instance);
+        pool.release(image, instance);
         last_release_at = Some(now_s);
     }
 
-    let stats = pool.stats();
-    TtlPoint { ttl_s, hit_ratio: stats.hit_ratio(), cold_seconds, idle_seconds }
+    TtlPoint { ttl_s, hit_ratio: pool.stats().warm_tier_rate(), cold_seconds, idle_seconds }
 }
 
 /// Paper-shaped ablation table.

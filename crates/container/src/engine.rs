@@ -2,100 +2,56 @@
 //!
 //! The paper's warming story (§4.7) is a TTL pool: pay the full Table 2
 //! cold start on every miss, keep the instance warm for 5-10 minutes. This
-//! module goes beyond it with three layers, resolved in order on acquire:
+//! engine is the container instantiation of `funcx-telemetry`'s
+//! [`TieredPool`] — key [`ContainerImageId`], value [`ContainerInstance`] —
+//! which owns the mechanism: idle instances handed out hottest-first, TTL
+//! reap, per-image and global capacity with stalest-first eviction, and a
+//! pre-warmer keeping `ceil(arrival_rate × ttl)` clones minted per image.
+//! What the engine supplies is the tier-cost model over the
+//! [`ContainerRuntime`]:
 //!
-//! 1. **Warm hit** — an idle instance for the image (released by a worker,
-//!    or pre-minted by the predictor) is handed out at zero cost.
+//! 1. **Warm / predicted hit** — an idle instance (released by a worker, or
+//!    pre-minted by the predictor) is handed out at zero cost.
 //! 2. **Snapshot clone** — the first successful cold start of an image
-//!    captures a fully-initialized *snapshot* (template). Later misses mint
-//!    a copy-on-write clone from it at [`WarmStartConfig::clone_cost_fraction`]
+//!    leaves a fully-initialized *snapshot*. Later misses mint a
+//!    copy-on-write clone from it at [`WarmStartConfig::clone_cost_fraction`]
 //!    of a sampled cold start, instead of paying Table 2 again.
-//! 3. **Cold start** — no snapshot yet: pay the full model and capture the
-//!    snapshot for next time.
-//!
-//! The **predictive pre-warmer** consumes per-image arrival rates from
-//! `funcx-telemetry`'s windowed counters and keeps `ceil(rate × ttl)`
-//! clones pre-minted per image (the expected number of arrivals an idle
-//! clone will see before its TTL reaps it), bounded by per-image and
-//! global capacities with stalest-first eviction. Pre-minted clones that
-//! get used count as the `predicted` hit tier, separating "a worker
-//! happened to release here" locality from genuine prediction wins.
+//! 3. **Cold start** — no snapshot yet: pay the full model.
 //!
 //! Acquire latency is deterministic: [`resolve`](WarmStartEngine::resolve)
 //! never sleeps and returns a [`Lease`] carrying the virtual cost, which
 //! [`acquire`](WarmStartEngine::acquire) charges to the clock. The DES
 //! bench and background pre-warm work use the uncharged form directly.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use funcx_telemetry::WindowedCounter;
-use funcx_types::time::{SharedClock, VirtualDuration, VirtualInstant};
-use funcx_types::{ContainerImageId, Result};
-use parking_lot::Mutex;
+use funcx_telemetry::{PoolConfig, TierModel, TieredPool};
+use funcx_types::time::{SharedClock, VirtualDuration};
+use funcx_types::{ContainerImageId, FuncxError, Result};
 
 use crate::runtime::{ContainerInstance, ContainerRuntime};
-use crate::tech::ContainerTech;
-use crate::warming::DEFAULT_WARM_TTL;
+
+/// Which layer served an acquire, and the engine's counters for status,
+/// `/v1/metrics` and the warmstart bench: the pool's own.
+pub use funcx_telemetry::{PoolStats as WarmStartStats, Tier as AcquireTier};
+
+/// Default warm TTL: the middle of the paper's "5-10 minutes".
+pub const DEFAULT_WARM_TTL: VirtualDuration = VirtualDuration::from_secs(7 * 60 + 30);
 
 /// Tuning knobs for the warm-start engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmStartConfig {
-    /// Idle clones older than this are reaped (the paper's 5-10 minutes).
-    pub ttl: VirtualDuration,
+    /// TTL, capacities and pre-warm bounds of the idle-clone pool.
+    pub pool: PoolConfig,
     /// COW clone cost as a fraction of a sampled cold start. Restoring
     /// page-mapped state is an order of magnitude cheaper than image fetch
     /// plus interpreter boot.
     pub clone_cost_fraction: f64,
-    /// Idle clones a single image may hold (also the bare `WarmPool`'s
-    /// default release bound).
-    pub per_image_capacity: usize,
-    /// Idle clones across all images; overflow evicts the globally stalest.
-    pub global_capacity: usize,
-    /// Gate for the predictive pre-warmer.
-    pub prewarm: bool,
-    /// Trailing window the arrival-rate estimate is computed over.
-    pub rate_window: VirtualDuration,
-    /// Clones one `maintain` pass may mint (bounds background burst work).
-    pub max_prewarm_per_tick: usize,
 }
 
 impl Default for WarmStartConfig {
     fn default() -> Self {
-        WarmStartConfig {
-            ttl: DEFAULT_WARM_TTL,
-            clone_cost_fraction: 0.08,
-            per_image_capacity: 8,
-            global_capacity: 64,
-            prewarm: true,
-            rate_window: VirtualDuration::from_secs(60),
-            max_prewarm_per_tick: 4,
-        }
-    }
-}
-
-/// Which layer served an acquire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcquireTier {
-    /// Idle instance released by a worker.
-    Warm,
-    /// Idle instance the pre-warmer minted ahead of demand.
-    Predicted,
-    /// COW clone minted from the image's snapshot on a pool miss.
-    Clone,
-    /// Full Table 2 cold start (no snapshot existed yet).
-    Cold,
-}
-
-impl AcquireTier {
-    /// Stable label for metrics and bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AcquireTier::Warm => "warm",
-            AcquireTier::Predicted => "predicted",
-            AcquireTier::Clone => "clone",
-            AcquireTier::Cold => "cold",
-        }
+        WarmStartConfig { pool: PoolConfig::with_ttl(DEFAULT_WARM_TTL), clone_cost_fraction: 0.08 }
     }
 }
 
@@ -111,79 +67,48 @@ pub struct Lease {
     pub cost: VirtualDuration,
 }
 
-/// Counters for status, `/v1/metrics`, and the warmstart bench.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmStartStats {
-    /// Acquires served by a worker-released idle instance.
-    pub warm_hits: u64,
-    /// Acquires served by a pre-minted clone.
-    pub predicted_hits: u64,
-    /// Acquires served by a fresh snapshot clone.
-    pub clone_hits: u64,
-    /// Acquires that paid (or attempted) a full cold start.
-    pub cold_misses: u64,
-    /// Clones the pre-warmer minted.
-    pub prewarm_minted: u64,
-    /// Idle clones evicted by per-image or global capacity.
-    pub evictions: u64,
-    /// Idle clones reaped after their TTL lapsed.
-    pub reaped: u64,
-    /// Snapshots captured (one per distinct image cold-started).
-    pub snapshots: u64,
-    /// Virtual time spent minting pre-warm clones (background, never
-    /// charged to a worker).
-    pub prewarm_cost_nanos: u64,
-}
-
-impl WarmStartStats {
-    /// Total acquires across all four tiers.
-    pub fn acquires(&self) -> u64 {
-        self.warm_hits + self.predicted_hits + self.clone_hits + self.cold_misses
-    }
-
-    /// Fraction of acquires served at zero cost (warm + predicted).
-    pub fn warm_tier_rate(&self) -> f64 {
-        let total = self.acquires();
-        if total == 0 {
-            0.0
-        } else {
-            (self.warm_hits + self.predicted_hits) as f64 / total as f64
-        }
-    }
-}
-
-/// Who put an idle clone in the pool — decides its hit tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Provenance {
-    Released,
-    Preminted,
-}
-
-struct IdleClone {
-    instance: ContainerInstance,
-    idle_since: VirtualInstant,
-    provenance: Provenance,
-}
-
-struct EngineInner {
-    /// Idle clones per image, time-ordered: stalest at the front, hottest
-    /// popped from the back (LIFO reuse).
-    idle: HashMap<ContainerImageId, VecDeque<IdleClone>>,
-    /// Idle clones across all images (kept in sync with `idle`).
-    idle_total: usize,
-    /// Template instance per image; never handed out, only cloned from.
-    snapshots: HashMap<ContainerImageId, ContainerInstance>,
-    /// Per-image arrival counters feeding the rate estimate.
-    arrivals: HashMap<ContainerImageId, WindowedCounter>,
-}
-
 /// Three-layer warm-start engine; see the module docs for the model.
 pub struct WarmStartEngine {
     clock: SharedClock,
     runtime: Arc<ContainerRuntime>,
     config: WarmStartConfig,
-    inner: Mutex<EngineInner>,
-    stats: Mutex<WarmStartStats>,
+    pool: TieredPool<ContainerImageId, ContainerInstance>,
+}
+
+/// Tier costs over the container runtime: idle hits are free, a clone costs
+/// a fraction of a sampled cold start, a cold start is the Table 2 model and
+/// leaves its instance behind as the image's snapshot.
+struct ContainerTiers<'a>(&'a WarmStartEngine);
+
+impl TierModel<ContainerImageId, ContainerInstance> for ContainerTiers<'_> {
+    type Error = FuncxError;
+
+    fn warm_cost(&self) -> VirtualDuration {
+        VirtualDuration::ZERO
+    }
+
+    fn mint(
+        &mut self,
+        image: ContainerImageId,
+        _snapshot: &ContainerInstance,
+    ) -> (ContainerInstance, VirtualDuration) {
+        let engine = self.0;
+        let tech = engine.runtime.system().native_tech();
+        engine.runtime.clone_uncharged(image, tech, engine.config.clone_cost_fraction)
+    }
+
+    fn cold_start(
+        &mut self,
+        image: ContainerImageId,
+    ) -> Result<(ContainerInstance, VirtualDuration)> {
+        let runtime = &self.0.runtime;
+        let (result, cost) = runtime.start_uncharged(image, runtime.system().native_tech());
+        Ok((result?, cost))
+    }
+
+    fn snapshot(&mut self, instance: &ContainerInstance) -> Option<ContainerInstance> {
+        Some(instance.clone())
+    }
 }
 
 impl WarmStartEngine {
@@ -193,18 +118,8 @@ impl WarmStartEngine {
         runtime: Arc<ContainerRuntime>,
         config: WarmStartConfig,
     ) -> Arc<Self> {
-        Arc::new(WarmStartEngine {
-            clock,
-            runtime,
-            config,
-            inner: Mutex::new(EngineInner {
-                idle: HashMap::new(),
-                idle_total: 0,
-                snapshots: HashMap::new(),
-                arrivals: HashMap::new(),
-            }),
-            stats: Mutex::new(WarmStartStats::default()),
-        })
+        let pool = TieredPool::new(Arc::clone(&clock), config.pool);
+        Arc::new(WarmStartEngine { clock, runtime, config, pool })
     }
 
     /// New engine with default config.
@@ -217,87 +132,19 @@ impl WarmStartEngine {
         &self.config
     }
 
-    fn tech(&self) -> ContainerTech {
-        self.runtime.system().native_tech()
-    }
-
     /// Record one task arrival for `image`. The manager calls this on task
     /// receipt — *not* on acquire — so queueing delay between arrival and
     /// dispatch cannot double-count or starve the rate estimate.
     pub fn note_arrival(&self, image: ContainerImageId) {
-        let mut inner = self.inner.lock();
-        let counter = inner.arrivals.entry(image).or_insert_with(|| {
-            // Ring covers 2x the rate window so a read never underflows.
-            let frame = VirtualDuration::from_nanos(
-                (self.config.rate_window.as_nanos() / 6).max(1_000_000_000) as u64,
-            );
-            WindowedCounter::new(Arc::clone(&self.clock), frame, 12)
-        });
-        counter.inc();
-    }
-
-    /// Drop TTL-expired idle clones for one image's queue. Caller holds the
-    /// inner lock; returns how many were reaped.
-    fn prune_queue(
-        queue: &mut VecDeque<IdleClone>,
-        now: VirtualInstant,
-        ttl: VirtualDuration,
-    ) -> usize {
-        let before = queue.len();
-        queue.retain(|c| now.saturating_duration_since(c.idle_since) < ttl);
-        before - queue.len()
+        self.pool.note_arrival(image);
     }
 
     /// Resolve an acquire without sleeping: warm hit, else snapshot clone,
     /// else full cold start. The returned [`Lease::cost`] is the virtual
     /// time the caller owes (the charged form is [`acquire`](Self::acquire)).
     pub fn resolve(&self, image: ContainerImageId) -> Result<Lease> {
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-
-        // Layer 1: an idle clone (worker-released or pre-minted).
-        if let Some(queue) = inner.idle.get_mut(&image) {
-            let reaped = Self::prune_queue(queue, now, self.config.ttl);
-            inner.idle_total -= reaped;
-            if reaped > 0 {
-                self.stats.lock().reaped += reaped as u64;
-            }
-            if let Some(entry) = inner.idle.get_mut(&image).and_then(|q| q.pop_back()) {
-                inner.idle_total -= 1;
-                let tier = match entry.provenance {
-                    Provenance::Released => AcquireTier::Warm,
-                    Provenance::Preminted => AcquireTier::Predicted,
-                };
-                let mut stats = self.stats.lock();
-                match tier {
-                    AcquireTier::Warm => stats.warm_hits += 1,
-                    _ => stats.predicted_hits += 1,
-                }
-                return Ok(Lease { instance: entry.instance, tier, cost: VirtualDuration::ZERO });
-            }
-        }
-
-        // Layer 2: clone from the image's snapshot.
-        if inner.snapshots.contains_key(&image) {
-            let (instance, cost) =
-                self.runtime.clone_uncharged(image, self.tech(), self.config.clone_cost_fraction);
-            self.stats.lock().clone_hits += 1;
-            return Ok(Lease { instance, tier: AcquireTier::Clone, cost });
-        }
-
-        // Layer 3: full cold start; success captures the snapshot.
-        let (result, cost) = self.runtime.start_uncharged(image, self.tech());
-        let mut stats = self.stats.lock();
-        stats.cold_misses += 1;
-        match result {
-            Ok(instance) => {
-                if inner.snapshots.insert(image, instance.clone()).is_none() {
-                    stats.snapshots += 1;
-                }
-                Ok(Lease { instance, tier: AcquireTier::Cold, cost })
-            }
-            Err(e) => Err(e),
-        }
+        let (instance, tier, cost) = self.pool.resolve(image, &mut ContainerTiers(self))?;
+        Ok(Lease { instance, tier, cost })
     }
 
     /// Acquire an instance for `image`, charging [`Lease::cost`] to the
@@ -311,161 +158,37 @@ impl WarmStartEngine {
     }
 
     /// Return an instance after task completion; it idles (tier `warm` on
-    /// its next hit) until TTL or capacity takes it. Overflow evicts
-    /// stalest-first: within the image on per-image overflow, across all
-    /// images on global overflow.
+    /// its next hit) until TTL or capacity takes it.
     pub fn release(&self, instance: ContainerInstance) {
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-        let image = instance.image;
-        let queue = inner.idle.entry(image).or_default();
-        queue.push_back(IdleClone { instance, idle_since: now, provenance: Provenance::Released });
-        inner.idle_total += 1;
-        let evicted = self.enforce_capacity(&mut inner, image);
-        drop(inner);
-        if evicted > 0 {
-            self.stats.lock().evictions += evicted;
-        }
+        self.pool.release(instance.image, instance);
     }
 
-    /// Evict down to the per-image bound for `image` and the global bound
-    /// across every image; returns the number evicted.
-    fn enforce_capacity(&self, inner: &mut EngineInner, image: ContainerImageId) -> u64 {
-        let mut evicted = 0u64;
-        if let Some(queue) = inner.idle.get_mut(&image) {
-            while queue.len() > self.config.per_image_capacity {
-                queue.pop_front();
-                inner.idle_total -= 1;
-                evicted += 1;
-            }
-        }
-        while inner.idle_total > self.config.global_capacity {
-            // Globally stalest = oldest front entry across the queues.
-            let victim = inner
-                .idle
-                .iter()
-                .filter_map(|(img, q)| q.front().map(|c| (*img, c.idle_since)))
-                .min_by_key(|(_, since)| *since)
-                .map(|(img, _)| img);
-            match victim {
-                Some(img) => {
-                    let q = inner.idle.get_mut(&img).expect("victim queue exists");
-                    q.pop_front();
-                    inner.idle_total -= 1;
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        evicted
-    }
-
-    /// Periodic maintenance: reap TTL-expired clones everywhere, then (if
-    /// enabled) pre-mint clones toward each image's prediction target
-    /// `ceil(arrival_rate × ttl)`, clamped by per-image and global capacity
-    /// and by [`WarmStartConfig::max_prewarm_per_tick`]. Pre-warm cost is
-    /// accounted in the stats, never charged to the caller (it is
-    /// background work off the task critical path). Returns clones minted.
+    /// Periodic maintenance: reap TTL-expired clones, then pre-mint clones
+    /// toward each image's prediction target. Pre-warm cost is accounted in
+    /// the stats, never charged to the caller (it is background work off the
+    /// task critical path). Returns clones minted.
     pub fn maintain(&self) -> usize {
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-
-        let mut reaped = 0usize;
-        for queue in inner.idle.values_mut() {
-            reaped += Self::prune_queue(queue, now, self.config.ttl);
-        }
-        inner.idle.retain(|_, q| !q.is_empty());
-        inner.idle_total -= reaped;
-        if reaped > 0 {
-            self.stats.lock().reaped += reaped as u64;
-        }
-
-        if !self.config.prewarm {
-            return 0;
-        }
-
-        // Prediction targets per image with a snapshot to clone from.
-        let ttl_secs = self.config.ttl.as_secs_f64();
-        let mut wanted: Vec<(ContainerImageId, usize)> = Vec::new();
-        for (image, counter) in inner.arrivals.iter() {
-            if !inner.snapshots.contains_key(image) {
-                continue; // nothing to clone from yet
-            }
-            let rate = counter.rate_per_sec(self.config.rate_window);
-            let target = ((rate * ttl_secs).ceil() as usize).min(self.config.per_image_capacity);
-            let live = inner.idle.get(image).map(|q| q.len()).unwrap_or(0);
-            if target > live {
-                wanted.push((*image, target - live));
-            }
-        }
-
-        let mut minted = 0usize;
-        let mut minted_cost = 0u64;
-        'mint: for (image, deficit) in wanted {
-            for _ in 0..deficit {
-                if minted >= self.config.max_prewarm_per_tick
-                    || inner.idle_total >= self.config.global_capacity
-                {
-                    break 'mint;
-                }
-                let (instance, cost) = self.runtime.clone_uncharged(
-                    image,
-                    self.tech(),
-                    self.config.clone_cost_fraction,
-                );
-                inner.idle.entry(image).or_default().push_back(IdleClone {
-                    instance,
-                    idle_since: now,
-                    provenance: Provenance::Preminted,
-                });
-                inner.idle_total += 1;
-                minted += 1;
-                minted_cost += cost.as_nanos().min(u64::MAX as u128) as u64;
-            }
-        }
-        if minted > 0 {
-            let mut stats = self.stats.lock();
-            stats.prewarm_minted += minted as u64;
-            stats.prewarm_cost_nanos += minted_cost;
-        }
-        minted
+        self.pool.maintain(&mut ContainerTiers(self))
     }
 
     /// Live (TTL-filtered) idle clones for `image`.
     pub fn warm_count(&self, image: ContainerImageId) -> usize {
-        let now = self.clock.now();
-        self.inner
-            .lock()
-            .idle
-            .get(&image)
-            .map(|q| {
-                q.iter()
-                    .filter(|c| now.saturating_duration_since(c.idle_since) < self.config.ttl)
-                    .count()
-            })
-            .unwrap_or(0)
+        self.pool.warm_count(image)
     }
 
     /// Live idle clones across all images.
     pub fn warm_total(&self) -> usize {
-        let now = self.clock.now();
-        self.inner
-            .lock()
-            .idle
-            .values()
-            .flat_map(|q| q.iter())
-            .filter(|c| now.saturating_duration_since(c.idle_since) < self.config.ttl)
-            .count()
+        self.pool.warm_total()
     }
 
-    /// Snapshots captured so far.
+    /// Snapshots captured so far (they are never dropped).
     pub fn snapshot_count(&self) -> usize {
-        self.inner.lock().snapshots.len()
+        self.pool.stats().snapshots as usize
     }
 
     /// Counters snapshot.
     pub fn stats(&self) -> WarmStartStats {
-        *self.stats.lock()
+        self.pool.stats()
     }
 }
 
@@ -476,16 +199,20 @@ mod tests {
     use funcx_types::time::ManualClock;
     use std::time::Duration;
 
-    fn engine(config: WarmStartConfig) -> (Arc<ManualClock>, Arc<WarmStartEngine>) {
+    // Resolution order, LIFO, reaping, eviction and pre-warming are the
+    // pool's and are tested there (`funcx_telemetry::pool`); what is the
+    // engine's own is what each tier costs and what becomes a snapshot.
+
+    fn engine() -> (Arc<ContainerRuntime>, Arc<WarmStartEngine>) {
         let clock = ManualClock::new();
         let rt = ContainerRuntime::new(clock.clone(), SystemProfile::Ec2, 7);
-        let eng = WarmStartEngine::new(clock.clone(), rt, config);
-        (clock, eng)
+        let eng = WarmStartEngine::with_defaults(clock, Arc::clone(&rt));
+        (rt, eng)
     }
 
     #[test]
-    fn resolution_order_cold_then_warm_then_clone() {
-        let (_clock, eng) = engine(WarmStartConfig::default());
+    fn tiers_cost_table_2_then_nothing_then_a_fraction() {
+        let (rt, eng) = engine();
         let img = ContainerImageId::from_u128(1);
 
         // No snapshot: full cold start, snapshot captured.
@@ -494,151 +221,47 @@ mod tests {
         assert!(cold.cost >= Duration::from_secs_f64(1.74), "cost {:?}", cold.cost);
         assert_eq!(eng.snapshot_count(), 1);
 
-        // Released instance wins over a clone, at zero cost.
+        // The released instance itself comes back, at zero cost.
         eng.release(cold.instance.clone());
         let warm = eng.resolve(img).unwrap();
-        assert_eq!(warm.tier, AcquireTier::Warm);
-        assert_eq!(warm.instance, cold.instance);
+        assert_eq!((warm.tier, &warm.instance), (AcquireTier::Warm, &cold.instance));
         assert!(warm.cost.is_zero());
 
-        // Pool now empty but a snapshot exists: COW clone at a fraction of
+        // Pool empty, snapshot present: a new COW clone at a fraction of
         // cold cost.
         let clone = eng.resolve(img).unwrap();
         assert_eq!(clone.tier, AcquireTier::Clone);
         assert!(clone.cost > Duration::ZERO);
         assert!(clone.cost < Duration::from_secs_f64(1.74 * 0.2), "cost {:?}", clone.cost);
         assert_ne!(clone.instance.instance, warm.instance.instance);
-
-        let stats = eng.stats();
-        assert_eq!(
-            (stats.cold_misses, stats.warm_hits, stats.clone_hits, stats.predicted_hits),
-            (1, 1, 1, 0)
-        );
-        assert_eq!(stats.acquires(), 3);
+        assert_eq!((rt.cold_start_count(), rt.clone_count()), (1, 1));
     }
 
     #[test]
-    fn prewarm_mints_toward_rate_times_ttl() {
-        let config = WarmStartConfig {
-            ttl: Duration::from_secs(100),
-            per_image_capacity: 3,
-            max_prewarm_per_tick: 8,
-            rate_window: Duration::from_secs(60),
-            ..WarmStartConfig::default()
-        };
-        let (clock, eng) = engine(config);
-        let img = ContainerImageId::from_u128(1);
-
-        // Snapshot must exist before the predictor can clone.
-        let cold = eng.resolve(img).unwrap();
-        assert_eq!(cold.tier, AcquireTier::Cold);
-
-        // 30 arrivals over 60 s -> rate 0.5/s; x 100 s TTL -> target 50,
-        // clamped to per-image capacity 3.
-        for _ in 0..30 {
-            eng.note_arrival(img);
-        }
-        clock.advance(Duration::from_secs(1));
-        let minted = eng.maintain();
-        assert_eq!(minted, 3);
-        assert_eq!(eng.warm_count(img), 3);
-        assert_eq!(eng.stats().prewarm_minted, 3);
-        assert!(eng.stats().prewarm_cost_nanos > 0);
-
-        // A hit on a pre-minted clone is the predicted tier.
-        let hit = eng.resolve(img).unwrap();
-        assert_eq!(hit.tier, AcquireTier::Predicted);
-        assert!(hit.cost.is_zero());
-        assert_eq!(eng.stats().predicted_hits, 1);
-
-        // Second pass: target still 3, live 2 -> mints exactly the deficit.
-        assert_eq!(eng.maintain(), 1);
-    }
-
-    #[test]
-    fn prewarm_respects_per_tick_budget_and_gate() {
-        let config = WarmStartConfig {
-            ttl: Duration::from_secs(600),
-            per_image_capacity: 8,
-            max_prewarm_per_tick: 2,
-            ..WarmStartConfig::default()
-        };
-        let (clock, eng) = engine(config);
+    fn prewarm_mints_runtime_clones_and_accounts_their_cost() {
+        let (rt, eng) = engine();
         let img = ContainerImageId::from_u128(1);
         eng.resolve(img).unwrap();
         for _ in 0..60 {
             eng.note_arrival(img);
         }
-        clock.advance(Duration::from_secs(1));
-        assert_eq!(eng.maintain(), 2, "per-tick budget caps the mint burst");
-
-        let off = WarmStartConfig { prewarm: false, ..config };
-        let (clock2, eng2) = engine(off);
-        eng2.resolve(img).unwrap();
-        for _ in 0..60 {
-            eng2.note_arrival(img);
-        }
-        clock2.advance(Duration::from_secs(1));
-        assert_eq!(eng2.maintain(), 0, "disabled pre-warmer mints nothing");
-    }
-
-    #[test]
-    fn maintain_reaps_expired_clones() {
-        let config = WarmStartConfig {
-            ttl: Duration::from_secs(300),
-            prewarm: false,
-            ..WarmStartConfig::default()
-        };
-        let (clock, eng) = engine(config);
-        let img = ContainerImageId::from_u128(1);
-        let cold = eng.resolve(img).unwrap();
-        eng.release(cold.instance);
-        clock.advance(Duration::from_secs(301));
-        assert_eq!(eng.warm_count(img), 0, "expired clone not counted");
-        eng.maintain();
-        assert_eq!(eng.stats().reaped, 1);
-        assert_eq!(eng.warm_total(), 0);
-    }
-
-    #[test]
-    fn global_capacity_evicts_stalest_across_images() {
-        let config = WarmStartConfig {
-            per_image_capacity: 8,
-            global_capacity: 2,
-            prewarm: false,
-            ..WarmStartConfig::default()
-        };
-        let (clock, eng) = engine(config);
-        let img_a = ContainerImageId::from_u128(1);
-        let img_b = ContainerImageId::from_u128(2);
-
-        // Hold three instances concurrently, then release oldest-first.
-        let a = eng.resolve(img_a).unwrap();
-        let b1 = eng.resolve(img_b).unwrap();
-        let b2 = eng.resolve(img_b).unwrap();
-        eng.release(a.instance); // stalest
-        clock.advance(Duration::from_secs(1));
-        eng.release(b1.instance);
-        clock.advance(Duration::from_secs(1));
-        eng.release(b2.instance); // overflows global cap -> evicts a
-
-        assert_eq!(eng.warm_total(), 2);
-        assert_eq!(eng.warm_count(img_a), 0, "stalest (image A) evicted");
-        assert_eq!(eng.warm_count(img_b), 2);
-        assert_eq!(eng.stats().evictions, 1);
-    }
-
-    #[test]
-    fn lifo_hands_out_hottest_clone() {
-        let config = WarmStartConfig { prewarm: false, ..WarmStartConfig::default() };
-        let (clock, eng) = engine(config);
-        let img = ContainerImageId::from_u128(1);
-        let c1 = eng.resolve(img).unwrap();
-        let c2 = eng.resolve(img).unwrap();
-        eng.release(c1.instance.clone());
-        clock.advance(Duration::from_secs(1));
-        eng.release(c2.instance.clone());
+        assert_eq!(eng.maintain(), eng.config().pool.max_prewarm_per_tick);
+        assert_eq!(rt.clone_count(), 4);
+        assert!(eng.stats().prewarm_cost_nanos > 0);
         let hit = eng.resolve(img).unwrap();
-        assert_eq!(hit.instance, c2.instance, "most recently released wins");
+        assert_eq!(hit.tier, AcquireTier::Predicted);
+        assert!(hit.cost.is_zero());
+    }
+
+    #[test]
+    fn failed_cold_start_captures_no_snapshot() {
+        let (rt, eng) = engine();
+        let img = ContainerImageId::from_u128(1);
+        rt.set_failure_rate(1.0);
+        assert!(eng.resolve(img).is_err());
+        assert_eq!((eng.snapshot_count(), eng.stats().cold_misses), (0, 1));
+        rt.set_failure_rate(0.0);
+        assert_eq!(eng.resolve(img).unwrap().tier, AcquireTier::Cold);
+        assert_eq!(eng.snapshot_count(), 1);
     }
 }

@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use funcx_container::{ContainerRuntime, SystemProfile, WarmStartConfig, WarmStartEngine};
+use funcx_container::{
+    ContainerRuntime, PoolConfig, SystemProfile, WarmStartConfig, WarmStartEngine,
+};
 use funcx_types::time::ManualClock;
 use funcx_types::ContainerImageId;
 
@@ -25,10 +27,11 @@ fn concurrent_acquires_conserve_tier_counts_and_never_share_instances() {
         clock.clone(),
         runtime,
         WarmStartConfig {
-            ttl: Duration::from_secs(30),
-            per_image_capacity: 4,
-            global_capacity: 16,
-            prewarm: true,
+            pool: PoolConfig {
+                per_key_capacity: 4,
+                global_capacity: 16,
+                ..PoolConfig::with_ttl(Duration::from_secs(30))
+            },
             ..WarmStartConfig::default()
         },
     );

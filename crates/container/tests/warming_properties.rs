@@ -1,30 +1,17 @@
 //! Property tests for the warm pool: conservation (an instance is either
 //! held by a worker, warm in the pool, or reaped — never duplicated) and
-//! TTL correctness under arbitrary schedules.
+//! TTL correctness under arbitrary schedules. The model checker is
+//! `pool_model::check`; `pool_model_seeded.rs` feeds it without `proptest`.
 
-use std::time::Duration;
+mod pool_model;
 
-use funcx_container::{Acquired, ContainerTech, WarmPool};
-use funcx_types::time::ManualClock;
-use funcx_types::ContainerImageId;
+use pool_model::{check, PoolOp, IMAGES};
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum PoolOp {
-    /// Acquire for image (0..3).
-    Acquire(u8),
-    /// Release a held instance (if any) for image.
-    Release(u8),
-    /// Advance time by seconds.
-    Advance(u16),
-    /// Run the periodic reaper.
-    Reap,
-}
 
 fn arb_op() -> impl Strategy<Value = PoolOp> {
     prop_oneof![
-        (0u8..3).prop_map(PoolOp::Acquire),
-        (0u8..3).prop_map(PoolOp::Release),
+        (0..IMAGES).prop_map(PoolOp::Acquire),
+        (0..IMAGES).prop_map(PoolOp::Release),
         (0u16..400).prop_map(PoolOp::Advance),
         Just(PoolOp::Reap),
     ]
@@ -35,86 +22,6 @@ proptest! {
 
     #[test]
     fn instances_are_conserved_and_ttl_holds(ops in proptest::collection::vec(arb_op(), 0..60)) {
-        let clock = ManualClock::new();
-        let ttl = Duration::from_secs(300);
-        let pool = WarmPool::with_ttl(clock.clone(), ttl);
-        let capacity = pool.per_image_capacity();
-        let mut next_instance = 0u64;
-        // Instances currently held by "workers", per image.
-        let mut held: Vec<Vec<u64>> = vec![vec![], vec![], vec![]];
-        // Our model of warm instances: (id, idle_since_seconds).
-        let mut warm: Vec<Vec<(u64, u64)>> = vec![vec![], vec![], vec![]];
-        let mut now_s = 0u64;
-
-        for op in ops {
-            match op {
-                PoolOp::Acquire(img_idx) => {
-                    let image = ContainerImageId::from_u128(img_idx as u128 + 1);
-                    // Expire model entries first (pool reaps on acquire).
-                    warm[img_idx as usize].retain(|(_, since)| now_s - since < 300);
-                    match pool.acquire(image) {
-                        Acquired::Warm(inst) => {
-                            // Must be a model-warm instance (LIFO: the most
-                            // recently released).
-                            let expected = warm[img_idx as usize].pop();
-                            prop_assert_eq!(
-                                Some(inst.instance),
-                                expected.map(|(id, _)| id),
-                                "warm hit must return the most recent release"
-                            );
-                            held[img_idx as usize].push(inst.instance);
-                        }
-                        Acquired::Cold => {
-                            prop_assert!(
-                                warm[img_idx as usize].is_empty(),
-                                "pool missed though the model holds a live warm instance"
-                            );
-                            // Simulate a cold start.
-                            held[img_idx as usize].push(next_instance);
-                            next_instance += 1;
-                        }
-                    }
-                }
-                PoolOp::Release(img_idx) => {
-                    if let Some(id) = held[img_idx as usize].pop() {
-                        let image = ContainerImageId::from_u128(img_idx as u128 + 1);
-                        pool.release(funcx_container::ContainerInstance {
-                            instance: id,
-                            image,
-                            tech: ContainerTech::Docker,
-                        });
-                        warm[img_idx as usize].push((id, now_s));
-                        // Mirror the capacity bound: overflow evicts the
-                        // stalest entry (front; pushes are time-ordered).
-                        while warm[img_idx as usize].len() > capacity {
-                            warm[img_idx as usize].remove(0);
-                        }
-                    }
-                }
-                PoolOp::Advance(secs) => {
-                    clock.advance(Duration::from_secs(secs as u64));
-                    now_s += secs as u64;
-                }
-                PoolOp::Reap => {
-                    pool.reap();
-                    for w in warm.iter_mut() {
-                        w.retain(|(_, since)| now_s - since < 300);
-                    }
-                }
-            }
-            // Invariant: warm_count reports exactly the model's *live* set —
-            // expired-but-unreaped entries are filtered at read time, and
-            // capacity eviction mirrors the model's.
-            for (i, w) in warm.iter().enumerate() {
-                let image = ContainerImageId::from_u128(i as u128 + 1);
-                let live = w.iter().filter(|(_, since)| now_s - since < 300).count();
-                prop_assert_eq!(
-                    pool.warm_count(image),
-                    live,
-                    "warm_count must equal the model's live warm set for image {}",
-                    i
-                );
-            }
-        }
+        prop_assert_eq!(check(&ops), Ok(()));
     }
 }

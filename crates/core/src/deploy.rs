@@ -496,6 +496,7 @@ impl Drop for TestBed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use funcx_container::PoolConfig;
     use funcx_lang::Value;
 
     #[test]
@@ -558,8 +559,10 @@ mod tests {
             // Huge TTL so the sped-up clock cannot expire pooled
             // instances between tasks; prewarming off for exact counts.
             .warm_start(WarmStartConfig {
-                ttl: Duration::from_secs(1_000_000),
-                prewarm: false,
+                pool: PoolConfig {
+                    max_prewarm_per_tick: 0,
+                    ..PoolConfig::with_ttl(Duration::from_secs(1_000_000))
+                },
                 ..WarmStartConfig::default()
             })
             .build();

@@ -542,8 +542,7 @@ fn run_agent_loop(
                 report.sandbox_clone_hits = sb.clone_hits;
                 report.sandbox_cold_misses = sb.cold_misses;
                 report.sandbox_sessions = host.session_count() as u64;
-                report.sandbox_cap_kills =
-                    sb.fuel_kills + sb.memory_kills + sb.time_kills + sb.output_kills;
+                report.sandbox_cap_kills = sb.cap_kills();
             }
             let status = Message::EndpointStatus { endpoint_id, report };
             if forwarder.send(Message::heartbeat(hb_seq)).is_err()

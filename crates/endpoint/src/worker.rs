@@ -485,7 +485,7 @@ mod tests {
     fn test_engine(
         clock: &SharedClock,
     ) -> (Arc<funcx_container::ContainerRuntime>, Arc<WarmStartEngine>) {
-        use funcx_container::{ContainerRuntime, SystemProfile, WarmStartConfig};
+        use funcx_container::{ContainerRuntime, PoolConfig, SystemProfile, WarmStartConfig};
         let rt = ContainerRuntime::new(Arc::clone(clock), SystemProfile::Ec2, 1);
         // Huge TTL: the sped-up real clock must not expire pooled instances
         // between assertions.
@@ -493,8 +493,10 @@ mod tests {
             Arc::clone(clock),
             Arc::clone(&rt),
             WarmStartConfig {
-                prewarm: false,
-                ttl: Duration::from_secs(1_000_000),
+                pool: PoolConfig {
+                    max_prewarm_per_tick: 0,
+                    ..PoolConfig::with_ttl(Duration::from_secs(1_000_000))
+                },
                 ..WarmStartConfig::default()
             },
         );

@@ -2,59 +2,55 @@
 //! predictive pre-warming, and persistent named sessions.
 //!
 //! Starting a sandbox execution from nothing costs a *cold boot*: parse the
-//! shipped source, validate its imports, and build the definition table.
-//! The host avoids paying that on the hot path with the same three-layer
-//! model as the container warm-start engine:
+//! shipped source and build the definition table. The host avoids paying
+//! that on the hot path by keeping prepared environments in
+//! `funcx-telemetry`'s [`TieredPool`] — the pool the container warm-start
+//! engine uses, here keyed by the hash of the shipped source with a
+//! [`PreparedEnv`] as the value and the compiled program as the snapshot:
 //!
 //! 1. **Warm hit** — an idle prepared environment for this program (released
 //!    by a worker, or pre-minted by the predictor) at near-zero cost.
 //! 2. **Clone** — the compiled program is cached; mint a fresh environment
 //!    from it at a fraction of the cold cost.
-//! 3. **Cold boot** — parse + validate + build, and cache the compiled
-//!    program for next time.
+//! 3. **Cold boot** — parse + build, and cache the compiled program for next
+//!    time. The boot runs under the pool's lock, so workers racing on a new
+//!    program compile it once.
 //!
-//! The **predictive pre-warmer** consumes per-program arrival rates and
-//! keeps `ceil(rate × ttl)` environments pre-minted, bounded by per-program
-//! and global capacity; pre-minted environments that get used count as the
-//! `predicted` tier. Tier costs are charged in *virtual* time, so the bench
-//! and tests are deterministic under a speed-up clock.
+//! The pool reaps, evicts and pre-mints toward `ceil(rate × ttl)`
+//! environments per hot program; what is the host's own is the tier costs
+//! (charged in *virtual* time, so the bench and tests are deterministic under
+//! a speed-up clock), the import check on every leased environment, named
+//! sessions, metering and the cap-kill accounting.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use funcx_lang::ast::{FunctionDef, Program};
 use funcx_lang::interp::check_imports;
 use funcx_lang::{ExecHooks, Value};
-use funcx_telemetry::WindowedCounter;
+use funcx_telemetry::{PoolConfig, TierModel, TieredPool};
 use funcx_types::hash::fnv1a;
-use funcx_types::time::{SharedClock, VirtualDuration, VirtualInstant};
+use funcx_types::time::{SharedClock, VirtualDuration};
 use funcx_types::{Capability, TaskLimits};
 use parking_lot::Mutex;
 
-use crate::meter::{CapKind, SandboxLimits, SandboxResult};
+use crate::meter::{CapKind, SandboxError, SandboxLimits, SandboxResult};
 use crate::session::{SessionStore, DEFAULT_SESSION_TTL};
 use crate::vm;
+
+/// Which layer served a session acquisition: the pool's tiers.
+pub use funcx_telemetry::Tier as SessionTier;
 
 /// Tuning knobs for the sandbox host.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SandboxConfig {
-    /// Idle prepared environments older than this are reaped.
-    pub ttl: VirtualDuration,
+    /// TTL, capacities and pre-warm bounds of the idle-environment pool.
+    pub pool: PoolConfig,
     /// Named sessions idle past this are reaped.
     pub session_ttl: VirtualDuration,
-    /// Idle environments one program may hold.
-    pub per_program_capacity: usize,
-    /// Idle environments across all programs; overflow evicts the stalest.
-    pub global_capacity: usize,
-    /// Gate for the predictive pre-warmer.
-    pub prewarm: bool,
-    /// Trailing window the arrival-rate estimate is computed over.
-    pub rate_window: VirtualDuration,
-    /// Environments one `maintain` pass may mint.
-    pub max_prewarm_per_tick: usize,
     /// Endpoint-default caps, overlaid by per-function [`TaskLimits`].
     pub default_limits: SandboxLimits,
-    /// Virtual cost of a cold boot (parse + validate + build).
+    /// Virtual cost of a cold boot (parse + build).
     pub cold_cost: VirtualDuration,
     /// Virtual cost of minting an environment from a cached program.
     pub clone_cost: VirtualDuration,
@@ -65,42 +61,12 @@ pub struct SandboxConfig {
 impl Default for SandboxConfig {
     fn default() -> Self {
         SandboxConfig {
-            ttl: VirtualDuration::from_secs(600),
+            pool: PoolConfig::with_ttl(VirtualDuration::from_secs(600)),
             session_ttl: DEFAULT_SESSION_TTL,
-            per_program_capacity: 8,
-            global_capacity: 64,
-            prewarm: true,
-            rate_window: VirtualDuration::from_secs(60),
-            max_prewarm_per_tick: 4,
             default_limits: SandboxLimits::default(),
             cold_cost: VirtualDuration::from_millis(80),
             clone_cost: VirtualDuration::from_millis(6),
             warm_cost: VirtualDuration::from_micros(500),
-        }
-    }
-}
-
-/// Which layer served a session acquisition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionTier {
-    /// Idle prepared environment released by a worker.
-    Warm,
-    /// Idle prepared environment the pre-warmer minted ahead of demand.
-    Predicted,
-    /// Minted from the cached compiled program.
-    Clone,
-    /// Full cold boot (parse + validate + build).
-    Cold,
-}
-
-impl SessionTier {
-    /// Stable label for metrics and bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SessionTier::Warm => "warm",
-            SessionTier::Predicted => "predicted",
-            SessionTier::Clone => "clone",
-            SessionTier::Cold => "cold",
         }
     }
 }
@@ -169,21 +135,6 @@ pub struct SandboxStats {
 }
 
 impl SandboxStats {
-    /// Total acquisitions across all four tiers.
-    pub fn acquires(&self) -> u64 {
-        self.warm_hits + self.predicted_hits + self.clone_hits + self.cold_misses
-    }
-
-    /// Fraction of acquisitions served from an idle environment.
-    pub fn warm_tier_rate(&self) -> f64 {
-        let total = self.acquires();
-        if total == 0 {
-            0.0
-        } else {
-            (self.warm_hits + self.predicted_hits) as f64 / total as f64
-        }
-    }
-
     /// Total cap-policy kills across every cap kind.
     pub fn cap_kills(&self) -> u64 {
         self.fuel_kills
@@ -192,29 +143,6 @@ impl SandboxStats {
             + self.output_kills
             + self.capability_denials
     }
-}
-
-/// Who put an idle environment in the pool — decides its hit tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Provenance {
-    Released,
-    Preminted,
-}
-
-struct IdleEnv {
-    env: PreparedEnv,
-    idle_since: VirtualInstant,
-    provenance: Provenance,
-}
-
-struct HostInner {
-    /// Compiled-program cache, keyed by source hash.
-    programs: HashMap<u64, PreparedEnv>,
-    /// Idle environments per program, stalest at the front.
-    idle: HashMap<u64, VecDeque<IdleEnv>>,
-    idle_total: usize,
-    /// Per-program arrival counters feeding the prediction target.
-    arrivals: HashMap<u64, WindowedCounter>,
 }
 
 /// One sandbox execution request (the worker's view of a dispatch frame).
@@ -258,24 +186,52 @@ pub struct SandboxOutcome {
 pub struct SandboxHost {
     clock: SharedClock,
     config: SandboxConfig,
-    inner: Mutex<HostInner>,
+    pool: TieredPool<u64, PreparedEnv>,
     sessions: SessionStore,
+    /// The execution, cap-kill and session counters; the tier counters are
+    /// the pool's and are merged in by [`stats`](Self::stats).
     stats: Mutex<SandboxStats>,
+}
+
+/// Tier costs from the config; a cold boot compiles `source`, and the
+/// compiled program stays behind as the snapshot clones are minted from.
+struct ProgramTiers<'a> {
+    config: &'a SandboxConfig,
+    source: &'a str,
+}
+
+impl TierModel<u64, PreparedEnv> for ProgramTiers<'_> {
+    type Error = SandboxError;
+
+    fn warm_cost(&self) -> VirtualDuration {
+        self.config.warm_cost
+    }
+
+    fn mint(&mut self, _key: u64, program: &PreparedEnv) -> (PreparedEnv, VirtualDuration) {
+        (program.clone(), self.config.clone_cost)
+    }
+
+    fn cold_start(&mut self, key: u64) -> SandboxResult<(PreparedEnv, VirtualDuration)> {
+        let program = funcx_lang::parse(self.source)?;
+        let globals: HashMap<String, FunctionDef> =
+            program.defs.iter().map(|d| (d.name.clone(), d.clone())).collect();
+        let env = PreparedEnv { key, program: Arc::new(program), globals: Arc::new(globals) };
+        Ok((env, self.config.cold_cost))
+    }
+
+    fn snapshot(&mut self, env: &PreparedEnv) -> Option<PreparedEnv> {
+        Some(env.clone())
+    }
 }
 
 impl SandboxHost {
     /// New host with explicit config.
     pub fn new(clock: SharedClock, config: SandboxConfig) -> Arc<Self> {
         Arc::new(SandboxHost {
+            pool: TieredPool::new(Arc::clone(&clock), config.pool),
             sessions: SessionStore::new(Arc::clone(&clock), config.session_ttl),
             clock,
             config,
-            inner: Mutex::new(HostInner {
-                programs: HashMap::new(),
-                idle: HashMap::new(),
-                idle_total: 0,
-                arrivals: HashMap::new(),
-            }),
             stats: Mutex::new(SandboxStats::default()),
         })
     }
@@ -295,140 +251,31 @@ impl SandboxHost {
         fnv1a(source.as_bytes())
     }
 
-    /// Record one task arrival for `source`'s program. Managers call this
-    /// on task receipt — not on acquire — so queueing delay cannot starve
-    /// the rate estimate.
+    /// Record one task arrival for the program with this key. Managers call
+    /// this on task receipt — not on acquire — so queueing delay cannot
+    /// starve the rate estimate.
     pub fn note_arrival(&self, key: u64) {
-        let mut inner = self.inner.lock();
-        let counter = inner.arrivals.entry(key).or_insert_with(|| {
-            let frame = VirtualDuration::from_nanos(
-                (self.config.rate_window.as_nanos() / 6).max(1_000_000_000) as u64,
-            );
-            WindowedCounter::new(Arc::clone(&self.clock), frame, 12)
-        });
-        counter.inc();
-    }
-
-    fn compile(key: u64, source: &str) -> SandboxResult<PreparedEnv> {
-        let program = funcx_lang::parse(source)?;
-        let globals: HashMap<String, FunctionDef> =
-            program.defs.iter().map(|d| (d.name.clone(), d.clone())).collect();
-        Ok(PreparedEnv { key, program: Arc::new(program), globals: Arc::new(globals) })
-    }
-
-    fn prune_queue(
-        queue: &mut VecDeque<IdleEnv>,
-        now: VirtualInstant,
-        ttl: VirtualDuration,
-    ) -> usize {
-        let before = queue.len();
-        queue.retain(|e| now.saturating_duration_since(e.idle_since) < ttl);
-        before - queue.len()
+        self.pool.note_arrival(key);
     }
 
     /// Resolve an acquisition without charging its cost: warm hit, else
-    /// clone from the cached program, else cold boot (which caches).
+    /// clone from the cached program, else cold boot (which caches). The
+    /// leased environment's imports are checked against what this container
+    /// offers; a refused environment goes back to the pool, not away.
     pub fn resolve(&self, source: &str, extra_modules: &[String]) -> SandboxResult<EnvLease> {
-        let key = Self::program_key(source);
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-
-        // Layer 1: an idle prepared environment.
-        if let Some(queue) = inner.idle.get_mut(&key) {
-            let reaped = Self::prune_queue(queue, now, self.config.ttl);
-            inner.idle_total -= reaped;
-            if reaped > 0 {
-                self.stats.lock().reaped += reaped as u64;
-            }
-            if let Some(entry) = inner.idle.get_mut(&key).and_then(|q| q.pop_back()) {
-                inner.idle_total -= 1;
-                drop(inner);
-                check_imports(&entry.env.program, extra_modules)?;
-                let tier = match entry.provenance {
-                    Provenance::Released => SessionTier::Warm,
-                    Provenance::Preminted => SessionTier::Predicted,
-                };
-                let mut stats = self.stats.lock();
-                match tier {
-                    SessionTier::Warm => stats.warm_hits += 1,
-                    _ => stats.predicted_hits += 1,
-                }
-                return Ok(EnvLease { env: entry.env, tier, cost: self.config.warm_cost });
-            }
+        let mut tiers = ProgramTiers { config: &self.config, source };
+        let (env, tier, cost) = self.pool.resolve(Self::program_key(source), &mut tiers)?;
+        if let Err(refused) = check_imports(&env.program, extra_modules) {
+            self.release(env);
+            return Err(refused.into());
         }
-
-        // Layer 2: mint from the cached compiled program.
-        if let Some(cached) = inner.programs.get(&key).cloned() {
-            drop(inner);
-            check_imports(&cached.program, extra_modules)?;
-            self.stats.lock().clone_hits += 1;
-            return Ok(EnvLease {
-                env: cached,
-                tier: SessionTier::Clone,
-                cost: self.config.clone_cost,
-            });
-        }
-
-        // Layer 3: cold boot; success caches the compiled program.
-        drop(inner);
-        let mut stats = self.stats.lock();
-        stats.cold_misses += 1;
-        drop(stats);
-        let env = Self::compile(key, source)?;
-        check_imports(&env.program, extra_modules)?;
-        let mut inner = self.inner.lock();
-        if inner.programs.insert(key, env.clone()).is_none() {
-            self.stats.lock().compiles += 1;
-        }
-        Ok(EnvLease { env, tier: SessionTier::Cold, cost: self.config.cold_cost })
+        Ok(EnvLease { env, tier, cost })
     }
 
     /// Return an environment after execution; it idles (tier `warm` on its
     /// next hit) until TTL or capacity takes it.
     pub fn release(&self, env: PreparedEnv) {
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-        let key = env.key;
-        inner.idle.entry(key).or_default().push_back(IdleEnv {
-            env,
-            idle_since: now,
-            provenance: Provenance::Released,
-        });
-        inner.idle_total += 1;
-        let evicted = self.enforce_capacity(&mut inner, key);
-        drop(inner);
-        if evicted > 0 {
-            self.stats.lock().evictions += evicted;
-        }
-    }
-
-    fn enforce_capacity(&self, inner: &mut HostInner, key: u64) -> u64 {
-        let mut evicted = 0u64;
-        if let Some(queue) = inner.idle.get_mut(&key) {
-            while queue.len() > self.config.per_program_capacity {
-                queue.pop_front();
-                inner.idle_total -= 1;
-                evicted += 1;
-            }
-        }
-        while inner.idle_total > self.config.global_capacity {
-            let victim = inner
-                .idle
-                .iter()
-                .filter_map(|(k, q)| q.front().map(|e| (*k, e.idle_since)))
-                .min_by_key(|(_, since)| *since)
-                .map(|(k, _)| k);
-            match victim {
-                Some(k) => {
-                    let q = inner.idle.get_mut(&k).expect("victim queue exists");
-                    q.pop_front();
-                    inner.idle_total -= 1;
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        evicted
+        self.pool.release(env.key, env);
     }
 
     /// Execute one request end to end: acquire (charging the tier cost to
@@ -482,98 +329,21 @@ impl SandboxHost {
 
     /// Periodic maintenance: reap TTL-expired idle environments and named
     /// sessions, then pre-mint environments toward each hot program's
-    /// prediction target `ceil(arrival_rate × ttl)`. Returns environments
-    /// minted.
+    /// prediction target. Returns environments minted.
     pub fn maintain(&self) -> usize {
-        let now = self.clock.now();
-        let mut inner = self.inner.lock();
-
-        let mut reaped = 0usize;
-        for queue in inner.idle.values_mut() {
-            reaped += Self::prune_queue(queue, now, self.config.ttl);
-        }
-        inner.idle.retain(|_, q| !q.is_empty());
-        inner.idle_total -= reaped;
-        if reaped > 0 {
-            self.stats.lock().reaped += reaped as u64;
-        }
-
-        let sessions_reaped = self.sessions.reap();
-        if sessions_reaped > 0 {
-            self.stats.lock().sessions_reaped += sessions_reaped as u64;
-        }
-
-        if !self.config.prewarm {
-            return 0;
-        }
-
-        let ttl_secs = self.config.ttl.as_secs_f64();
-        let mut wanted: Vec<(u64, usize)> = Vec::new();
-        for (key, counter) in inner.arrivals.iter() {
-            if !inner.programs.contains_key(key) {
-                continue; // nothing to mint from yet
-            }
-            let rate = counter.rate_per_sec(self.config.rate_window);
-            let target = ((rate * ttl_secs).ceil() as usize).min(self.config.per_program_capacity);
-            let live = inner.idle.get(key).map(|q| q.len()).unwrap_or(0);
-            if target > live {
-                wanted.push((*key, target - live));
-            }
-        }
-
-        let mut minted = 0usize;
-        let mut minted_cost = 0u64;
-        'mint: for (key, deficit) in wanted {
-            for _ in 0..deficit {
-                if minted >= self.config.max_prewarm_per_tick
-                    || inner.idle_total >= self.config.global_capacity
-                {
-                    break 'mint;
-                }
-                let env = inner.programs.get(&key).expect("checked above").clone();
-                inner.idle.entry(key).or_default().push_back(IdleEnv {
-                    env,
-                    idle_since: now,
-                    provenance: Provenance::Preminted,
-                });
-                inner.idle_total += 1;
-                minted += 1;
-                minted_cost += self.config.clone_cost.as_nanos().min(u64::MAX as u128) as u64;
-            }
-        }
-        if minted > 0 {
-            let mut stats = self.stats.lock();
-            stats.prewarm_minted += minted as u64;
-            stats.prewarm_cost_nanos += minted_cost;
-        }
-        minted
+        self.stats.lock().sessions_reaped += self.sessions.reap() as u64;
+        // A maintenance pass mints from cached programs and never boots one.
+        self.pool.maintain(&mut ProgramTiers { config: &self.config, source: "" })
     }
 
-    /// Live (TTL-filtered) idle environments for `source`'s program.
+    /// Live (TTL-filtered) idle environments for the program with this key.
     pub fn warm_count(&self, key: u64) -> usize {
-        let now = self.clock.now();
-        self.inner
-            .lock()
-            .idle
-            .get(&key)
-            .map(|q| {
-                q.iter()
-                    .filter(|e| now.saturating_duration_since(e.idle_since) < self.config.ttl)
-                    .count()
-            })
-            .unwrap_or(0)
+        self.pool.warm_count(key)
     }
 
     /// Live idle environments across all programs.
     pub fn warm_total(&self) -> usize {
-        let now = self.clock.now();
-        self.inner
-            .lock()
-            .idle
-            .values()
-            .flat_map(|q| q.iter())
-            .filter(|e| now.saturating_duration_since(e.idle_since) < self.config.ttl)
-            .count()
+        self.pool.warm_total()
     }
 
     /// Live named sessions.
@@ -591,9 +361,21 @@ impl SandboxHost {
         self.sessions.teardown(key)
     }
 
-    /// Counters snapshot.
+    /// Counters snapshot: the pool's tier counters and the host's own.
     pub fn stats(&self) -> SandboxStats {
-        *self.stats.lock()
+        let pool = self.pool.stats();
+        SandboxStats {
+            warm_hits: pool.warm_hits,
+            predicted_hits: pool.predicted_hits,
+            clone_hits: pool.clone_hits,
+            cold_misses: pool.cold_misses,
+            prewarm_minted: pool.prewarm_minted,
+            evictions: pool.evictions,
+            reaped: pool.reaped,
+            compiles: pool.snapshots,
+            prewarm_cost_nanos: pool.prewarm_cost_nanos,
+            ..*self.stats.lock()
+        }
     }
 }
 
@@ -632,69 +414,53 @@ mod tests {
         }
     }
 
+    // Resolution order, LIFO, reaping, eviction and pre-warming are the
+    // pool's and are tested there (`funcx_telemetry::pool`); what is the
+    // host's own is the tier costs, the import check, sessions and caps.
+
     #[test]
-    fn resolution_order_cold_then_warm_then_clone() {
-        let (_clock, host) = manual_host(SandboxConfig::default());
+    fn tiers_charge_the_configured_costs_and_compile_once() {
+        let (clock, host) = manual_host(SandboxConfig::default());
+        let key = SandboxHost::program_key(SRC);
 
         let cold = host.resolve(SRC, &[]).unwrap();
-        assert_eq!(cold.tier, SessionTier::Cold);
-        assert_eq!(cold.cost, host.config().cold_cost);
-        assert_eq!(host.stats().compiles, 1);
+        assert_eq!((cold.tier, cold.cost), (SessionTier::Cold, host.config().cold_cost));
+        assert_eq!(cold.env.key, key);
 
         host.release(cold.env);
         let warm = host.resolve(SRC, &[]).unwrap();
-        assert_eq!(warm.tier, SessionTier::Warm);
-        assert_eq!(warm.cost, host.config().warm_cost);
+        assert_eq!((warm.tier, warm.cost), (SessionTier::Warm, host.config().warm_cost));
 
         // Pool now empty but the program is cached: clone tier.
         let clone = host.resolve(SRC, &[]).unwrap();
-        assert_eq!(clone.tier, SessionTier::Clone);
-        assert_eq!(clone.cost, host.config().clone_cost);
+        assert_eq!((clone.tier, clone.cost), (SessionTier::Clone, host.config().clone_cost));
+
+        // Pre-minted environments are priced as clones, in the background.
+        for _ in 0..60 {
+            host.note_arrival(key);
+        }
+        clock.advance(VirtualDuration::from_secs(1));
+        assert_eq!(host.maintain(), 4);
+        let predicted = host.resolve(SRC, &[]).unwrap();
+        assert_eq!((predicted.tier, predicted.cost), (SessionTier::Predicted, warm.cost));
 
         let stats = host.stats();
         assert_eq!(
             (stats.cold_misses, stats.warm_hits, stats.clone_hits, stats.predicted_hits),
-            (1, 1, 1, 0)
+            (1, 1, 1, 1)
         );
+        assert_eq!((stats.compiles, stats.prewarm_minted), (1, 4));
+        assert_eq!(stats.prewarm_cost_nanos, 4 * host.config().clone_cost.as_nanos() as u64);
         assert!(
             host.config().warm_cost.as_secs_f64() < 0.1 * host.config().cold_cost.as_secs_f64()
         );
     }
 
     #[test]
-    fn prewarm_mints_toward_rate_times_ttl() {
-        let config = SandboxConfig {
-            ttl: VirtualDuration::from_secs(100),
-            per_program_capacity: 3,
-            max_prewarm_per_tick: 8,
-            ..SandboxConfig::default()
-        };
-        let (clock, host) = manual_host(config);
-        let key = SandboxHost::program_key(SRC);
-
-        let cold = host.resolve(SRC, &[]).unwrap();
-        assert_eq!(cold.tier, SessionTier::Cold);
-
-        for _ in 0..30 {
-            host.note_arrival(key);
-        }
-        clock.advance(VirtualDuration::from_secs(1));
-        let minted = host.maintain();
-        assert_eq!(minted, 3, "rate x ttl clamped to per-program capacity");
-        assert_eq!(host.warm_count(key), 3);
-        assert_eq!(host.stats().prewarm_minted, 3);
-
-        let hit = host.resolve(SRC, &[]).unwrap();
-        assert_eq!(hit.tier, SessionTier::Predicted);
-        assert_eq!(host.stats().predicted_hits, 1);
-    }
-
-    #[test]
     fn maintain_reaps_expired_envs_and_sessions() {
         let config = SandboxConfig {
-            ttl: VirtualDuration::from_secs(300),
+            pool: PoolConfig::with_ttl(VirtualDuration::from_secs(300)),
             session_ttl: VirtualDuration::from_secs(300),
-            prewarm: false,
             ..SandboxConfig::default()
         };
         let (clock, host) = manual_host(config);
@@ -709,12 +475,35 @@ mod tests {
         assert_eq!(host.session_count(), 0);
     }
 
+    const TF: &str = "import tensorflow\ndef f():\n    return 0\n";
+
     #[test]
     fn rejects_unavailable_imports_but_honors_container_modules() {
         let (_clock, host) = manual_host(SandboxConfig::default());
-        let src = "import tensorflow\ndef f():\n    return 0\n";
-        assert!(host.resolve(src, &[]).is_err());
-        assert!(host.resolve(src, &["tensorflow".to_string()]).is_ok());
+        assert!(host.resolve(TF, &[]).is_err());
+        assert!(host.resolve(TF, &["tensorflow".to_string()]).is_ok());
+        assert!(host.resolve("def f(:\n", &[]).is_err(), "a parse error is not an environment");
+        assert_eq!(host.stats().compiles, 1);
+    }
+
+    #[test]
+    fn import_refused_environment_goes_back_to_the_pool() {
+        let (_clock, host) = manual_host(SandboxConfig::default());
+        let key = SandboxHost::program_key(TF);
+        let offered = ["tensorflow".to_string()];
+        let cold = host.resolve(TF, &offered).unwrap();
+        assert_eq!(cold.tier, SessionTier::Cold);
+        host.release(cold.env);
+        assert_eq!(host.warm_count(key), 1);
+
+        // A container without the module is refused the warm environment,
+        // which must still be there for the next container that has it.
+        assert!(host.resolve(TF, &[]).is_err());
+        assert_eq!(host.warm_count(key), 1);
+        assert_eq!(host.resolve(TF, &offered).unwrap().tier, SessionTier::Warm);
+        assert_eq!(host.warm_count(key), 0);
+        host.release(host.resolve(TF, &offered).unwrap().env);
+        assert_eq!(host.warm_count(key), 1);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! stricter than the FxScript runtime's:
 //!
 //! * **Pre-initialized session pools** ([`SandboxHost`]) — acquisition is
-//!   tiered (warm / predicted / clone / cold) exactly like the container
-//!   warm-start engine, so a hot function's environment is handed out in
-//!   fractions of a millisecond instead of paying a parse-and-boot cold
-//!   start, and a predictive pre-warmer keeps environments minted ahead of
-//!   demand.
+//!   tiered (warm / predicted / clone / cold) by the same
+//!   `funcx_telemetry::TieredPool` the container warm-start engine uses, so
+//!   a hot function's environment is handed out in fractions of a
+//!   millisecond instead of paying a parse-and-boot cold start, and a
+//!   predictive pre-warmer keeps environments minted ahead of demand.
 //! * **Hard resource caps** ([`SandboxLimits`], [`Meter`]) — fuel, live
 //!   memory (with high-water accounting), virtual-time deadline, and
 //!   printed-output budget, each killing the execution with a cap-specific
@@ -36,6 +36,7 @@ pub mod meter;
 pub mod session;
 pub mod vm;
 
+pub use funcx_telemetry::PoolConfig;
 pub use host::{
     EnvLease, ExecRequest, PreparedEnv, SandboxConfig, SandboxHost, SandboxOutcome, SandboxStats,
     SessionTier,

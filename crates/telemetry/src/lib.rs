@@ -15,6 +15,10 @@
 //!   recording discipline over a ring of time-bucketed frames, mergeable
 //!   across arbitrary trailing windows (1 m / 5 m / 1 h), so "what does
 //!   latency look like *now*" is answerable without restarting counters.
+//! * [`TieredPool`] — the §4.7 warm pool (idle LIFO + TTL reap + capacity
+//!   eviction + snapshot clones + pre-warming from a [`WindowedCounter`]
+//!   arrival rate), generic over key and value; the container warm-start
+//!   engine and the sandbox host are its two instantiations.
 //! * [`TraceRing`] — a bounded ring buffer of structured events stamped
 //!   with the shared virtual clock, so lifecycle traces line up with task
 //!   timelines under both `RealClock` and the test `ManualClock`.
@@ -26,11 +30,13 @@
 //! values, mirroring the Prometheus data model.
 
 pub mod log;
+pub mod pool;
 pub mod registry;
 pub mod trace;
 pub mod window;
 
 pub use log::{LogLevel, SpanScope};
+pub use pool::{PoolConfig, PoolStats, Tier, TierModel, TieredPool};
 pub use registry::{Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use trace::{TraceEvent, TraceRing};
 pub use window::{WindowSnapshot, WindowedCounter, WindowedHistogram};

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use funcx::prelude::*;
-use funcx_types::{Capability, FunctionOptions, Runtime, TaskLimits};
+use funcx_types::{Capability, EndpointStatsReport, FunctionOptions, Runtime, TaskLimits};
 
 /// Traceback bodies cross the wire as JSON; under the offline stub harness
 /// JSON serialization is unavailable, so failures still cross (with the
@@ -25,6 +25,20 @@ fn wire_json_available() -> bool {
 
 fn sandbox_options() -> FunctionOptions {
     FunctionOptions { runtime: Runtime::Sandbox, ..FunctionOptions::default() }
+}
+
+/// Wait for a heartbeat's endpoint status report that satisfies `seen` — the
+/// data behind /v1/endpoints/<id>/status.
+fn await_report(bed: &TestBed, what: &str, seen: impl Fn(&EndpointStatsReport) -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let record = bed.service.endpoints.get(bed.endpoint_id).unwrap();
+        if record.last_report.as_ref().is_some_and(&seen) {
+            return;
+        }
+        assert!(std::time::Instant::now() < deadline, "{what} never surfaced in the report");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
@@ -53,24 +67,12 @@ fn sandbox_function_executes_end_to_end() {
     );
 
     // The acquisition tiers ride the heartbeat into the endpoint status
-    // report — the data behind /v1/endpoints/<id>/status.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let record = bed.service.endpoints.get(bed.endpoint_id).unwrap();
-        if let Some(report) = record.last_report {
-            let non_cold = report.sandbox_warm_hits
-                + report.sandbox_predicted_hits
-                + report.sandbox_clone_hits;
-            if report.sandbox_cold_misses >= 1 && non_cold >= 1 {
-                break;
-            }
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "sandbox tiers never surfaced in the endpoint status report"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // report.
+    await_report(&bed, "sandbox tiers", |report| {
+        let non_cold =
+            report.sandbox_warm_hits + report.sandbox_predicted_hits + report.sandbox_clone_hits;
+        report.sandbox_cold_misses >= 1 && non_cold >= 1
+    });
     bed.shutdown();
 }
 
@@ -178,6 +180,9 @@ fn capability_denied_operation_fails_closed() {
         assert!(msg.contains("clock"), "names the missing capability: {msg}");
     }
     assert_eq!(bed.sandbox_host().unwrap().stats().capability_denials, 1);
+    // A denial is a cap kill like the other four: the per-endpoint total on
+    // the heartbeat counts it, as the service's labelled counter does.
+    await_report(&bed, "the capability denial", |report| report.sandbox_cap_kills == 1);
     // The identical body with the grant succeeds — the denial above was the
     // policy, not a broken builtin.
     let granted = bed
