@@ -515,16 +515,18 @@ fn prefer_lease(ring: &HashRing, mine: &PartitionLease, theirs: &PartitionLease)
 }
 
 /// The slice of `state` owned by `owned` partitions (of `partitions`
-/// total): tasks, endpoints, functions, and queues whose owning user
-/// hashes into the set. Memoized results and the KV space are content- or
-/// namespace-addressed rather than user-owned, so they transfer whole —
-/// duplicating a memo entry is harmless, losing one is a cache miss.
+/// total): tasks (in the order they are owed), endpoints and functions
+/// whose owning user hashes into the set. Memoized results are
+/// content-addressed rather than user-owned, so they transfer whole —
+/// duplicating a memo entry is harmless, losing one is a cache miss — and
+/// so do deregistrations: an endpoint id is never reused, and whoever
+/// adopts a task its endpoint can no longer run must be able to tell.
 fn slice_state(state: &WalState, owned: &HashSet<u32>, partitions: u32) -> WalState {
     let keep_user =
         |user: funcx_types::UserId| owned.contains(&partition_of_user(user, partitions));
     let mut out = WalState::new();
     out.memo = state.memo.clone();
-    out.kv = state.kv.clone();
+    out.deregistered = state.deregistered.clone();
     for (id, record) in &state.endpoints {
         if keep_user(record.owner) {
             out.endpoints.insert(*id, record.clone());
@@ -535,24 +537,11 @@ fn slice_state(state: &WalState, owned: &HashSet<u32>, partitions: u32) -> WalSt
             out.functions.insert(*id, record.clone());
         }
     }
-    for (id, record) in &state.tasks {
+    for record in state.tasks_in_order() {
         if keep_user(record.spec.user_id) {
-            out.tasks.insert(*id, record.clone());
+            out.insert_task(record.clone());
         }
     }
-    out.dispatch_order =
-        state.dispatch_order.iter().filter(|id| out.tasks.contains_key(id)).copied().collect();
-    for (key, queue) in &state.queues {
-        if out.endpoints.contains_key(&key.0) {
-            out.queues.insert(*key, queue.clone());
-        }
-    }
-    out.removed_queues = state
-        .removed_queues
-        .iter()
-        .filter(|id| state.endpoints.get(id).is_none_or(|record| keep_user(record.owner)))
-        .copied()
-        .collect();
     out
 }
 

@@ -36,14 +36,6 @@ pub struct ServiceConfig {
     pub forwarder_batch: usize,
     /// Maximum entries in the memoization cache.
     pub memo_capacity: usize,
-    /// Shard count of the task store (rounded up to a power of two).
-    /// 1 degenerates to the old single-global-lock table — useful only
-    /// for contention baselines; production wants many shards so status
-    /// polls and result writes touch disjoint locks.
-    pub task_shards: usize,
-    /// Capacity of the lifecycle trace ring (oldest events are dropped —
-    /// and counted — beyond this).
-    pub trace_capacity: usize,
     /// Router liveness: a stats report older than this (virtual) marks the
     /// endpoint dead for pool routing even while its connection is up.
     pub router_max_report_age: VirtualDuration,
@@ -108,8 +100,6 @@ impl Default for ServiceConfig {
             poll_interval: Duration::from_millis(1),
             forwarder_batch: 1024,
             memo_capacity: 100_000,
-            task_shards: crate::tasks::DEFAULT_SHARDS,
-            trace_capacity: 4096,
             router_max_report_age: Duration::from_secs(30),
             router_failure_threshold: 3,
             router_cooldown: Duration::from_secs(60),
@@ -172,7 +162,6 @@ mod tests {
         let c = ServiceConfig::default();
         assert_eq!(c.auth_cost, Duration::ZERO);
         assert!(c.payload_limit >= 64 << 10);
-        assert!(c.task_shards > 1, "production default must actually shard");
         assert!(c.wal_dir.is_none(), "durability is opt-in");
         assert!(
             matches!(c.wal_fsync, FsyncPolicy::Batched { .. }),

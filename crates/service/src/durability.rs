@@ -1,84 +1,9 @@
 //! Durability wiring: the service side of `funcx-wal`.
 //!
-//! Two pieces live here:
-//!
-//! * [`WalJournal`] — the adapter that lets the store's journal hook
-//!   ([`funcx_store::Journal`]) feed the write-ahead log. The store crate
-//!   cannot depend on `funcx-wal` (the WAL replays *into* the store), so
-//!   the service owns the translation from [`JournalOp`] to
-//!   [`DurableEvent`].
-//! * [`RecoveryReport`] — what [`crate::service::FuncxService::recover`]
-//!   found and rebuilt, for operators and tests.
-
-use std::sync::Arc;
-
-use funcx_store::{Journal, JournalOp};
-use funcx_telemetry::Counter;
-use funcx_wal::{DurableEvent, Wal};
-
-/// store-side queue kind → WAL-side queue kind.
-pub(crate) fn wal_queue_kind(kind: funcx_store::QueueKind) -> funcx_wal::QueueKind {
-    match kind {
-        funcx_store::QueueKind::Task => funcx_wal::QueueKind::Task,
-        funcx_store::QueueKind::Result => funcx_wal::QueueKind::Result,
-    }
-}
-
-/// WAL-side queue kind → store-side queue kind.
-pub(crate) fn store_queue_kind(kind: funcx_wal::QueueKind) -> funcx_store::QueueKind {
-    match kind {
-        funcx_wal::QueueKind::Task => funcx_store::QueueKind::Task,
-        funcx_wal::QueueKind::Result => funcx_store::QueueKind::Result,
-    }
-}
-
-/// Journal sink that appends every store mutation to the WAL.
-///
-/// Append errors are counted, never propagated: the store has already
-/// applied the mutation by the time the journal records it, so the only
-/// honest response to a failing disk is to keep serving from memory and
-/// let the operator see `funcx_wal_append_errors_total` climb.
-pub(crate) struct WalJournal {
-    wal: Arc<Wal>,
-    append_errors: Counter,
-}
-
-impl WalJournal {
-    pub(crate) fn new(wal: Arc<Wal>, append_errors: Counter) -> Self {
-        WalJournal { wal, append_errors }
-    }
-}
-
-impl Journal for WalJournal {
-    fn record(&self, op: JournalOp<'_>) {
-        let event = match op {
-            JournalOp::QueuePush { endpoint, kind, front, item } => DurableEvent::QueuePush {
-                endpoint_id: endpoint,
-                kind: wal_queue_kind(kind),
-                front,
-                item: item.to_vec(),
-            },
-            JournalOp::QueuePop { endpoint, kind, count } => {
-                DurableEvent::QueuePop { endpoint_id: endpoint, kind: wal_queue_kind(kind), count }
-            }
-            JournalOp::QueuesRemoved { endpoint } => {
-                DurableEvent::QueuesRemoved { endpoint_id: endpoint }
-            }
-            JournalOp::KvSet { key, field, value, expires_at_nanos } => DurableEvent::KvSet {
-                key: key.to_string(),
-                field: field.to_string(),
-                value: value.to_vec(),
-                expires_at_nanos,
-            },
-            JournalOp::KvDel { key, field } => {
-                DurableEvent::KvDel { key: key.to_string(), field: field.to_string() }
-            }
-        };
-        if self.wal.append(&event).is_err() {
-            self.append_errors.inc();
-        }
-    }
-}
+//! [`RecoveryReport`] is what [`crate::service::FuncxService::recover`]
+//! (and `absorb_state`) found and rebuilt, for operators and tests. The
+//! service appends lifecycle records itself (`log_event`); queues are not
+//! journaled, they are re-derived from the restored task records.
 
 /// What one [`crate::service::FuncxService::recover`] pass rebuilt.
 #[derive(Debug, Clone, Default)]
@@ -97,21 +22,17 @@ pub struct RecoveryReport {
     pub endpoints_restored: usize,
     /// Function registrations restored.
     pub functions_restored: usize,
-    /// Queue items restored verbatim into task/result queues.
-    pub queue_items_restored: usize,
     /// Memoized results restored.
     pub memo_entries_restored: usize,
-    /// KV entries restored (expiry re-armed from the recorded deadline).
-    pub kv_entries_restored: usize,
-    /// KV entries whose recorded expiry had already lapsed — dropped.
-    pub kv_entries_expired: usize,
-    /// Dispatched-but-unacked tasks returned to the *front* of their task
-    /// queue, in original dispatch order, for at-least-once redelivery.
+    /// Dispatched-but-unacked tasks flipped back to waiting and put at the
+    /// head of their task queue, in arrival order, for at-least-once
+    /// redelivery.
     pub unacked_redelivered: usize,
-    /// `WaitingForEndpoint` tasks that were missing from their queue
-    /// (crash landed between the record append and the queue push) and
-    /// were re-enqueued.
-    pub rescued: usize,
+    /// `WaitingForEndpoint` tasks put back in their task queue behind them.
+    pub waiting_requeued: usize,
+    /// Tasks still owed by an endpoint the log deregistered: failed with
+    /// that reason instead of parked in a queue nobody will drain.
+    pub orphans_failed: usize,
     /// Wall-clock time the whole recovery pass took.
     pub duration: std::time::Duration,
 }
@@ -119,6 +40,6 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Total task-shaped work the recovery put back in flight.
     pub fn redelivered(&self) -> usize {
-        self.unacked_redelivered + self.rescued
+        self.unacked_redelivered + self.waiting_requeued
     }
 }

@@ -144,7 +144,6 @@ fn run_forwarder_loop(
     let config = service.config.clone();
     let clock = service.clock();
     let task_queue = service.store.queue(endpoint_id, QueueKind::Task);
-    let result_queue = service.store.queue(endpoint_id, QueueKind::Result);
 
     // Phase 1: wait for the agent's registration.
     loop {
@@ -204,7 +203,6 @@ fn run_forwarder_loop(
                     agent_lost = true;
                 } else {
                     service.instruments.tasks_dispatched.add(n as u64);
-                    service.trace.record("dispatch", format!("endpoint {endpoint_id} batch {n}"));
                 }
             }
         }
@@ -217,7 +215,7 @@ fn run_forwarder_loop(
                     Message::Results(results) => {
                         let done: HashSet<TaskId> = results.iter().map(|r| r.task_id).collect();
                         outstanding.retain(|id| !done.contains(id));
-                        store_results(&service, endpoint_id, results, &result_queue);
+                        store_results(&service, endpoint_id, results);
                     }
                     Message::Heartbeat { seq, .. } => {
                         let _ = channel.send(Message::HeartbeatAck { seq });
@@ -262,12 +260,15 @@ fn run_forwarder_loop(
     // redelivery ("returns outstanding tasks back into the task queue",
     // §4.1) — and mark the endpoint offline.
     if agent_lost {
-        fx_log!(Warn, "forwarder", "agent lost", endpoint_id = endpoint_id);
         let (requeued, rerouted) = service.handle_endpoint_loss(endpoint_id, outstanding);
         service.instruments.tasks_requeued.add(requeued as u64);
-        service.trace.record(
-            "endpoint_lost",
-            format!("endpoint {endpoint_id} requeued {requeued} rerouted {rerouted}"),
+        fx_log!(
+            Warn,
+            "forwarder",
+            "agent lost",
+            endpoint_id = endpoint_id,
+            requeued = requeued,
+            rerouted = rerouted
         );
     }
 }
@@ -345,28 +346,23 @@ fn build_dispatch(
         })
         .flatten();
     if dispatch.is_some() {
-        // Logged after the pop (already journalled by the drain) and the
-        // transition: recovery treats a dispatched-but-unacked task as
-        // outstanding and redelivers it.
+        // Logged after the transition: recovery treats a dispatched-but-
+        // unacked task as outstanding and redelivers it. Until this record
+        // lands the log says "waiting", and a crash redelivers it too.
         service.log_event(&DurableEvent::TaskDispatched { task_id });
     }
     dispatch
 }
 
-/// Write results into records, the memo cache, and the result queue
-/// (Fig. 3 steps 5–6).
+/// Write results into records and the memo cache (Fig. 3 steps 5–6);
+/// clients poll the record, so there is no result queue to notify.
 ///
 /// Lock-hold hygiene: traceback deserialization, memo-key hashing, and
 /// result unpacking all happen with no task lock held; each record gets
 /// its own short per-task write section (never one batch-wide lock), so a
 /// burst of results from one endpoint cannot freeze status polls for the
 /// whole batch.
-fn store_results(
-    service: &Arc<FuncxService>,
-    endpoint_id: EndpointId,
-    results: Vec<TaskResult>,
-    result_queue: &Arc<funcx_store::BlockingQueue>,
-) {
+fn store_results(service: &Arc<FuncxService>, endpoint_id: EndpointId, results: Vec<TaskResult>) {
     let now = service.clock().now();
     for r in results {
         // Snapshot what the expensive pre-work needs under a brief read
@@ -461,8 +457,8 @@ fn store_results(
         };
         let (total, exec) = (timeline.total(), timeline.t_exec());
 
-        // Post-work: WAL append, counters, memo insert, trace, result
-        // queue — all outside the task lock.
+        // Post-work: WAL append, counters, memo insert, trace — all outside
+        // the task lock.
         if let Some((outcome, timeline)) = logged {
             service.log_event(&DurableEvent::ResultStored {
                 task_id: r.task_id,
@@ -501,7 +497,6 @@ fn store_results(
             service.instruments.task_exec.record(exec);
         }
         service.stats.on_result(function_id, endpoint_id, user_id, &timeline, r.success);
-        service.trace.record("result", format!("task {} success {}", r.task_id, r.success));
         // Synthesize the remote-side spans from the timeline the result
         // carried home (shared virtual clock, §4 instrumentation). The five
         // children — service, forwarder_out, endpoint, exec, forwarder_in —
@@ -561,12 +556,6 @@ fn store_results(
                 tracer.flag(span.trace_id, "error");
             }
             tracer.complete(span.trace_id, now);
-        }
-        if !result_queue.push_back(FuncxService::task_id_to_queue_bytes(r.task_id)) {
-            // The result itself is safe in the task record; only the
-            // queue notification was refused (endpoint deregistered).
-            service.instruments.result_pushes_refused.inc();
-            service.trace.record("result_push_refused", format!("task {}", r.task_id));
         }
     }
 }

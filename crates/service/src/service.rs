@@ -14,8 +14,8 @@ use funcx_lang::Value;
 use funcx_registry::{EndpointRegistry, FunctionRegistry, PoolRecord, PoolRegistry, Sharing};
 use funcx_router::{EndpointSnapshot, HealthSnapshot, HealthState, Router};
 use funcx_serial::{pack_buffer, CodecTag, Payload, Serializer};
-use funcx_store::{QueueDrainCounts, QueueKind, SharedJournal, Store};
-use funcx_telemetry::{fx_log, Counter, Histogram, MetricsRegistry, TraceRing};
+use funcx_store::{QueueDrainCounts, QueueKind, Store};
+use funcx_telemetry::{fx_log, Counter, Histogram, MetricsRegistry};
 use funcx_tracing::TraceStore;
 use funcx_types::ids::Uuid;
 use funcx_types::task::{TaskOutcome, TaskRecord, TaskSpec, TaskState};
@@ -29,7 +29,7 @@ use funcx_wal::{DurableEvent, Wal, WalConfig, WalInstruments, WalState};
 use parking_lot::Mutex;
 
 use crate::config::ServiceConfig;
-use crate::durability::{store_queue_kind, RecoveryReport, WalJournal};
+use crate::durability::RecoveryReport;
 use crate::memo::MemoCache;
 use crate::slo::SloEngine;
 use crate::stats::StatsHub;
@@ -85,13 +85,9 @@ pub(crate) struct Instruments {
     /// Task-queue pushes refused by a closed queue (the task is failed in
     /// place, never silently dropped).
     pub enqueues_refused: Counter,
-    /// Result-queue pushes refused by a closed queue (the result itself is
-    /// safe in the task record; only the notification was dropped).
-    pub result_pushes_refused: Counter,
-    /// Items still buffered when a deregistered endpoint's queues were
-    /// torn down, by queue kind.
+    /// Tasks still queued when a deregistered endpoint's queue was torn
+    /// down.
     pub dereg_dropped_tasks: Counter,
-    pub dereg_dropped_results: Counter,
     /// WAL appends that returned an I/O error (state kept serving from
     /// memory).
     pub wal_append_errors: Counter,
@@ -124,11 +120,7 @@ impl Instruments {
             tasks_rerouted: registry.counter("funcx_tasks_rerouted_total", &[]),
             circuits_opened: registry.counter("funcx_circuits_opened_total", &[]),
             enqueues_refused: registry.counter("funcx_queue_refusals_total", &[("kind", "task")]),
-            result_pushes_refused: registry
-                .counter("funcx_queue_refusals_total", &[("kind", "result")]),
             dereg_dropped_tasks: registry.counter("funcx_dereg_dropped_total", &[("kind", "task")]),
-            dereg_dropped_results: registry
-                .counter("funcx_dereg_dropped_total", &[("kind", "result")]),
             wal_append_errors: registry.counter("funcx_wal_append_errors_total", &[]),
             runtime_execs: funcx_types::Runtime::ALL.map(|r| {
                 ["success", "failure"].map(|outcome| {
@@ -158,7 +150,7 @@ pub struct FuncxService {
     pub pools: PoolRegistry,
     /// Health-aware pool router (policies, liveness, circuit breakers).
     pub router: Router,
-    /// Redis substitute (task/result queues; also usable as a scratch KV).
+    /// Redis substitute (per-endpoint task queues; also a scratch KV).
     pub store: Arc<Store>,
     /// Container image registry (§4.2: functions may name a container
     /// image carrying their dependencies).
@@ -167,8 +159,6 @@ pub struct FuncxService {
     pub memo: MemoCache,
     /// Metrics registry backing the `/v1/metrics` scrape surface.
     pub metrics: Arc<MetricsRegistry>,
-    /// Bounded lifecycle event ring (dispatch/result/requeue/liveness).
-    pub trace: Arc<TraceRing>,
     /// Distributed-trace span store behind `/v1/traces` (tail-sampled).
     pub tracer: Arc<TraceStore>,
     /// Windowed per-function / per-endpoint / per-user stats tables.
@@ -234,7 +224,6 @@ impl FuncxService {
     ) -> std::io::Result<(Arc<Self>, RecoveryReport)> {
         let started = std::time::Instant::now();
         let metrics = MetricsRegistry::new(Arc::clone(&clock));
-        let trace = Arc::new(TraceRing::new(Arc::clone(&clock), config.trace_capacity));
         let tracer = Arc::new(TraceStore::new(Arc::clone(&clock), config.trace_config()));
         funcx_telemetry::log::set_level(config.log_level);
         let instruments = Instruments::new(&metrics);
@@ -273,7 +262,6 @@ impl FuncxService {
             images: funcx_container::ImageRegistry::new(),
             memo: MemoCache::with_metrics(config.memo_capacity, &metrics),
             metrics,
-            trace,
             tracer,
             stats,
             slo: SloEngine::new(config.slos.clone()),
@@ -284,7 +272,7 @@ impl FuncxService {
             limiter: config
                 .rate_limit_per_user
                 .map(|rl| crate::ratelimit::RateLimiter::new(Arc::clone(&clock), rl)),
-            tasks: TaskStore::new(config.task_shards),
+            tasks: TaskStore::new(crate::tasks::DEFAULT_SHARDS),
             retrievals: Mutex::new(VecDeque::new()),
             config,
             clock,
@@ -298,60 +286,11 @@ impl FuncxService {
             report.events_skipped = info.skipped;
             report.truncated_bytes = info.truncated_bytes;
 
-            // 1. Pour the state `Wal::recover` rebuilt (the one replay of
-            //    this restart) into the live components. The journal is
-            //    NOT installed yet, so nothing restored here is re-appended
-            //    to the log.
+            // Pour the state `Wal::recover` rebuilt (the one replay of this
+            // restart) into the live components, then put back in its queue
+            // whatever that state says is still owed.
             service.restore_state(&state, &mut report);
-
-            // 2. From now on every store mutation flows back into the log.
-            let journal: SharedJournal = Arc::new(WalJournal::new(
-                Arc::clone(&wal),
-                service.instruments.wal_append_errors.clone(),
-            ));
-            service.store.set_journal(journal);
-
-            // 3. Dispatched-but-unacked tasks go back to the *front* of
-            //    their queue. Pushing in reverse dispatch order restores
-            //    the original FIFO order at the head. The requeue event is
-            //    logged before the push: if we crash between the two, the
-            //    rescue scan of the next recovery re-enqueues the task
-            //    instead of a replay double-pushing it.
-            let unacked: Vec<TaskId> =
-                state.unacked_dispatches().iter().map(|r| r.spec.task_id).collect();
-            for &task_id in unacked.iter().rev() {
-                let Some((endpoint_id, span, task_received)) = service
-                    .tasks
-                    .with_record_mut(task_id, |record| {
-                        if record.state == TaskState::DispatchedToEndpoint {
-                            record.transition(TaskState::WaitingForEndpoint);
-                            Some((
-                                record.spec.endpoint_id,
-                                record.spec.span,
-                                record.timeline.received,
-                            ))
-                        } else {
-                            None
-                        }
-                    })
-                    .flatten()
-                else {
-                    continue;
-                };
-                service.log_event(&DurableEvent::TaskRequeued { task_id, endpoint_id });
-                service
-                    .store
-                    .queue(endpoint_id, QueueKind::Task)
-                    .push_front(Self::task_id_to_queue_bytes(task_id));
-                service.reopen_recovered_trace(task_id, span, task_received);
-                report.unacked_redelivered += 1;
-            }
-
-            // 4. Rescue scan: a crash can land between logging TaskCreated
-            //    and the queue push (or between a pop and the dispatch
-            //    record). Any WaitingForEndpoint task absent from its queue
-            //    would otherwise wait forever.
-            service.rescue_unqueued(&state, &mut report);
+            service.enqueue_owed(&state, &mut report);
 
             report.duration = started.elapsed();
             service
@@ -362,23 +301,22 @@ impl FuncxService {
                 .metrics
                 .histogram("funcx_recovery_duration_seconds", &[])
                 .record(report.duration);
-            service.trace.record(
-                "recovery",
-                format!(
-                    "replayed {} tasks {} queued {} redelivered {} rescued {}",
-                    report.events_replayed,
-                    report.tasks_restored,
-                    report.queue_items_restored,
-                    report.unacked_redelivered,
-                    report.rescued
-                ),
+            fx_log!(
+                Info,
+                "service",
+                "recovered",
+                replayed = report.events_replayed,
+                tasks = report.tasks_restored,
+                redelivered = report.unacked_redelivered,
+                requeued = report.waiting_requeued,
+                orphans_failed = report.orphans_failed
             );
         }
         Ok((service, report))
     }
 
-    /// Pour a [`WalState`] into the live components. Called exactly once,
-    /// before the journal is installed.
+    /// Pour a [`WalState`]'s records into the live components; queues are
+    /// [`FuncxService::enqueue_owed`]'s business.
     fn restore_state(&self, state: &WalState, report: &mut RecoveryReport) {
         for record in state.endpoints.values() {
             self.endpoints.restore(record.clone());
@@ -396,60 +334,32 @@ impl FuncxService {
                 report.memo_entries_restored += 1;
             }
         }
-        let now = self.clock.now();
-        for ((key, field), (value, expires_at_nanos)) in &state.kv {
-            let ttl = match expires_at_nanos {
-                Some(at) => {
-                    let at = VirtualInstant::from_nanos(*at);
-                    if now >= at {
-                        report.kv_entries_expired += 1;
-                        continue;
-                    }
-                    Some(at.saturating_duration_since(now))
-                }
-                None => None,
-            };
-            self.store.kv.hset_with_ttl(key, field, Bytes::copy_from_slice(value), ttl);
-            report.kv_entries_restored += 1;
-        }
-        // Deterministic insertion order (by submit time, then id) so a
-        // recovered service is reproducible under test.
-        let mut records: Vec<&TaskRecord> = state.tasks.values().collect();
-        records.sort_by_key(|r| (r.timeline.received, r.spec.task_id));
-        for record in &records {
-            self.tasks.insert(record.spec.task_id, (*record).clone());
+        for record in state.tasks.values() {
+            self.tasks.insert(record.spec.task_id, record.clone());
             report.tasks_restored += 1;
         }
         // Results retrieved before the restart keep their purge deadline.
         let mut retrievals = self.retrievals.lock();
         retrievals.extend(
-            records
-                .iter()
+            state
+                .tasks
+                .values()
                 .filter(|r| r.state.is_terminal())
                 .filter_map(|r| Some((r.retrieved_at?, r.spec.task_id))),
         );
         retrievals.make_contiguous().sort_unstable();
-        drop(retrievals);
-        for (&(endpoint_id, kind), items) in &state.queues {
-            let queue = self.store.queue(endpoint_id, store_queue_kind(kind));
-            for item in items {
-                queue.push_back(Bytes::copy_from_slice(item));
-                report.queue_items_restored += 1;
-            }
-        }
     }
 
     /// Adopt another instance's shipped WAL state — partition failover.
     ///
     /// Unlike [`FuncxService::recover`] (which restores this service's
-    /// *own* log before the journal is installed), absorption happens on a
-    /// *running* service: every adopted record is re-logged into our own
-    /// WAL (explicitly for tasks/registries/memo, via the installed
-    /// journal for queue/kv writes), so the adopted partition survives a
-    /// subsequent crash of this instance too. Dispatched-but-unacked tasks
-    /// in the adopted state are re-queued at the front of their queues for
-    /// at-least-once redelivery — the zero-acked-task-loss half of the
-    /// failover contract.
+    /// *own* log), absorption happens on a *running* service: every adopted
+    /// record is re-logged into our own WAL — tasks in the order they are
+    /// owed, so our log derives the same queue — and the adopted partition
+    /// survives a subsequent crash of this instance too. What the adopted
+    /// state still owes is enqueued behind our own backlog, its
+    /// dispatched-but-unacked tasks first: the zero-acked-task-loss half
+    /// of the failover contract.
     pub fn absorb_state(&self, state: &WalState) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         if self.wal_enabled() {
@@ -463,86 +373,72 @@ impl FuncxService {
                     record: Box::new(record.clone()),
                 });
             }
-            let mut records: Vec<&TaskRecord> = state.tasks.values().collect();
-            records.sort_by_key(|r| (r.timeline.received, r.spec.task_id));
-            for record in records {
+            for record in state.tasks_in_order() {
                 self.log_event(&DurableEvent::TaskCreated { record: Box::new(record.clone()) });
             }
         }
         self.restore_state(state, &mut report);
-
-        let unacked: Vec<TaskId> =
-            state.unacked_dispatches().iter().map(|r| r.spec.task_id).collect();
-        for &task_id in unacked.iter().rev() {
-            let Some((endpoint_id, span, task_received)) = self
-                .tasks
-                .with_record_mut(task_id, |record| {
-                    if record.state == TaskState::DispatchedToEndpoint {
-                        record.transition(TaskState::WaitingForEndpoint);
-                        Some((record.spec.endpoint_id, record.spec.span, record.timeline.received))
-                    } else {
-                        None
-                    }
-                })
-                .flatten()
-            else {
-                continue;
-            };
-            self.log_event(&DurableEvent::TaskRequeued { task_id, endpoint_id });
-            self.store
-                .queue(endpoint_id, QueueKind::Task)
-                .push_front(Self::task_id_to_queue_bytes(task_id));
-            self.reopen_recovered_trace(task_id, span, task_received);
-            report.unacked_redelivered += 1;
-        }
-        self.rescue_unqueued(state, &mut report);
-        self.trace.record(
-            "absorb",
-            format!(
-                "adopted tasks {} queued {} redelivered {} rescued {}",
-                report.tasks_restored,
-                report.queue_items_restored,
-                report.unacked_redelivered,
-                report.rescued
-            ),
+        self.enqueue_owed(state, &mut report);
+        fx_log!(
+            Info,
+            "service",
+            "absorbed",
+            tasks = report.tasks_restored,
+            redelivered = report.unacked_redelivered,
+            requeued = report.waiting_requeued,
+            orphans_failed = report.orphans_failed
         );
         report
     }
 
-    /// Re-enqueue `WaitingForEndpoint` tasks that are in no task queue —
-    /// the crash windows around a queue push. Runs after the journal is
-    /// installed, so the pushes are themselves logged.
-    fn rescue_unqueued(&self, state: &WalState, report: &mut RecoveryReport) {
-        use std::collections::HashSet;
-        let mut queued: HashSet<TaskId> = HashSet::new();
-        for (&(_, kind), items) in &state.queues {
-            if kind == funcx_wal::QueueKind::Task {
-                queued.extend(items.iter().filter_map(|b| Self::queue_bytes_to_task_id(b)));
+    /// Enqueue what `state` says is still owed — the one rule recovery and
+    /// absorption share. A task queue is its endpoint's non-terminal tasks
+    /// in arrival order ([`WalState::owed`]), so pushing them back in that
+    /// order redelivers FIFO with the unacked dispatches (necessarily the
+    /// oldest) at the head; those are flipped back to waiting with a
+    /// `TaskRequeued`, exactly as an agent loss would. A task owed by an
+    /// endpoint the log deregistered can never run — that is a submit that
+    /// raced the deregistration and died before it could fail the task — so
+    /// it is failed with that reason rather than parked.
+    ///
+    /// There is no crash window to repair here: nothing but the task
+    /// record says where a task is, so a crash between any two appends
+    /// leaves a state this same pass enqueues correctly.
+    fn enqueue_owed(&self, state: &WalState, report: &mut RecoveryReport) {
+        for record in state.owed() {
+            let (task_id, endpoint_id) = (record.spec.task_id, record.spec.endpoint_id);
+            if state.deregistered.contains(&endpoint_id) {
+                self.fail_task(task_id, Self::deregistered_reason(endpoint_id));
+                report.orphans_failed += 1;
+                continue;
             }
-        }
-        let mut stranded: Vec<(Option<VirtualInstant>, TaskId, EndpointId, SpanContext)> = state
-            .tasks
-            .values()
-            .filter(|r| {
-                r.state == TaskState::WaitingForEndpoint
-                    && !queued.contains(&r.spec.task_id)
-                    && !state.removed_queues.contains(&r.spec.endpoint_id)
-            })
-            .map(|r| (r.timeline.received, r.spec.task_id, r.spec.endpoint_id, r.spec.span))
-            .collect();
-        stranded.sort_by_key(|(received, task_id, ..)| (*received, *task_id));
-        for (received, task_id, endpoint_id, span) in stranded {
-            // The requeue pass above may have pushed it meanwhile.
-            if self
+            match record.state {
+                TaskState::DispatchedToEndpoint => {
+                    self.tasks.with_record_mut(task_id, |live| {
+                        if live.state == TaskState::DispatchedToEndpoint {
+                            live.transition(TaskState::WaitingForEndpoint);
+                        }
+                    });
+                    self.log_event(&DurableEvent::TaskRequeued { task_id, endpoint_id });
+                    report.unacked_redelivered += 1;
+                }
+                TaskState::WaitingForEndpoint => report.waiting_requeued += 1,
+                _ => continue, // never logged by the service; nothing to deliver
+            }
+            if !self
                 .store
                 .queue(endpoint_id, QueueKind::Task)
                 .push_back(Self::task_id_to_queue_bytes(task_id))
             {
-                report.rescued += 1;
-                self.trace.record("rescue", format!("task {task_id} endpoint {endpoint_id}"));
-                self.reopen_recovered_trace(task_id, span, received);
+                self.fail_refused_enqueue(task_id, endpoint_id);
+                continue;
             }
+            self.reopen_recovered_trace(task_id, record.spec.span, record.timeline.received);
         }
+    }
+
+    fn deregistered_reason(endpoint_id: EndpointId) -> String {
+        format!("endpoint {endpoint_id} was deregistered before the task was dispatched")
     }
 
     /// Re-root the distributed trace of a task that survived a restart: the
@@ -571,7 +467,9 @@ impl FuncxService {
     }
 
     /// Append a lifecycle event to the WAL, if one is configured. Append
-    /// failures are counted, never propagated — see [`WalJournal`].
+    /// failures are counted, never propagated: the state has already
+    /// changed in memory, so the only honest response to a failing disk is
+    /// to keep serving and let `funcx_wal_append_errors_total` climb.
     pub(crate) fn log_event(&self, event: &DurableEvent) {
         if let Some(wal) = &self.wal {
             if wal.append(event).is_err() {
@@ -802,9 +700,10 @@ impl FuncxService {
 
     /// Deregister an endpoint the caller owns: fail whatever tasks were
     /// still queued for it (they can never run there now), tear down and
-    /// close its queues, and remove the registry record. The WAL records a
-    /// terminal queue removal, so a recovered service does not resurrect
-    /// the queues. Returns what the teardown found still buffered.
+    /// close its queue, and remove the registry record. The WAL records the
+    /// deregistration, so a recovered service fails whatever a racing
+    /// submit still left owed there instead of queueing it again. Returns
+    /// what the teardown found still buffered.
     pub fn deregister_endpoint(
         &self,
         bearer: &str,
@@ -830,23 +729,19 @@ impl FuncxService {
             .collect();
         let failed = backlog.len();
         for task_id in backlog {
-            self.fail_task(
-                task_id,
-                format!("endpoint {endpoint_id} was deregistered before the task was dispatched"),
-            );
+            self.fail_task(task_id, Self::deregistered_reason(endpoint_id));
         }
         let mut counts = self.store.remove_endpoint_queues(endpoint_id);
         counts.tasks_dropped += failed;
         self.instruments.dereg_dropped_tasks.add(counts.tasks_dropped as u64);
-        self.instruments.dereg_dropped_results.add(counts.results_dropped as u64);
         self.endpoints.deregister(endpoint_id)?;
         self.log_event(&DurableEvent::EndpointDeregistered { endpoint_id });
-        self.trace.record(
-            "endpoint_deregister",
-            format!(
-                "endpoint {endpoint_id} tasks_dropped {} results_dropped {}",
-                counts.tasks_dropped, counts.results_dropped
-            ),
+        fx_log!(
+            Info,
+            "service",
+            "endpoint deregistered",
+            endpoint_id = endpoint_id,
+            tasks_dropped = counts.tasks_dropped
         );
         Ok(counts)
     }
@@ -1086,7 +981,6 @@ impl FuncxService {
                     self.record_wal_span(&service_ctx, wal_start, "task_created");
                 }
                 self.tasks.insert(task_id, record);
-                self.trace.record("memo_hit", format!("task {task_id}"));
                 let done = self.clock.now();
                 self.tracer.record(
                     &service_ctx,
@@ -1104,9 +998,9 @@ impl FuncxService {
         record.transition(TaskState::WaitingForEndpoint);
         let queued = self.clock.now();
         record.timeline.queued_at_service = Some(queued);
-        // WAL ordering contract: the record is logged *before* its queue
-        // push. A crash in between leaves a WaitingForEndpoint task absent
-        // from its queue — exactly what recovery's rescue scan re-enqueues.
+        // The record is the task's place in line: logged waiting, it is in
+        // the queue any recovery derives, whether or not the push below
+        // happened before a crash.
         if self.wal_enabled() {
             let wal_start = self.clock.now();
             self.log_event(&DurableEvent::TaskCreated { record: Box::new(record.clone()) });
@@ -1124,9 +1018,7 @@ impl FuncxService {
             // submit). Failing the task keeps the outcome visible through
             // get_result instead of leaving it waiting forever.
             self.fail_refused_enqueue(task_id, endpoint_id);
-            return Ok(task_id);
         }
-        self.trace.record("submit", format!("task {task_id} endpoint {endpoint_id}"));
         Ok(task_id)
     }
 
@@ -1149,7 +1041,6 @@ impl FuncxService {
     /// task in place with a traceback-style error rather than dropping it.
     pub(crate) fn fail_refused_enqueue(&self, task_id: TaskId, endpoint_id: EndpointId) {
         self.instruments.enqueues_refused.inc();
-        self.trace.record("enqueue_refused", format!("task {task_id} endpoint {endpoint_id}"));
         self.fail_task(
             task_id,
             format!(
@@ -1243,7 +1134,7 @@ impl FuncxService {
             public,
             self.clock.now(),
         )?;
-        self.trace.record("pool_create", format!("pool {pool_id} ({name})"));
+        fx_log!(Info, "service", "pool created", pool_id = pool_id, name = name);
         Ok(pool_id)
     }
 
@@ -1283,7 +1174,7 @@ impl FuncxService {
         self.charge_store();
         self.pools.delete(pool_id, user)?;
         self.router.forget_pool(pool_id);
-        self.trace.record("pool_delete", format!("pool {pool_id}"));
+        fx_log!(Info, "service", "pool deleted", pool_id = pool_id);
         Ok(())
     }
 
@@ -1398,7 +1289,6 @@ impl FuncxService {
         let _ = self.endpoints.mark_offline(endpoint_id);
         if self.router.health().trip(endpoint_id, now) {
             self.instruments.circuits_opened.inc();
-            self.trace.record("circuit_open", format!("endpoint {endpoint_id}"));
             fx_log!(Warn, "service", "circuit opened", endpoint_id = endpoint_id);
         }
 
@@ -1462,8 +1352,6 @@ impl FuncxService {
                         continue;
                     }
                     self.instruments.tasks_rerouted.inc();
-                    self.trace
-                        .record("reroute", format!("task {task_id} {endpoint_id} -> {new_ep}"));
                     fx_log!(
                         Warn,
                         "service",

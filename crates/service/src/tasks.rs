@@ -27,7 +27,8 @@ use funcx_types::task::TaskRecord;
 use funcx_types::TaskId;
 use parking_lot::RwLock;
 
-/// Default shard count ([`crate::ServiceConfig::task_shards`]).
+/// Shard count of the service's task table: many, so status polls and
+/// result writes touch disjoint locks.
 pub const DEFAULT_SHARDS: usize = 64;
 
 /// N independent `RwLock<HashMap<TaskId, TaskRecord>>` shards.

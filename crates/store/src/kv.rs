@@ -5,9 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use funcx_types::time::{SharedClock, VirtualDuration, VirtualInstant};
-use parking_lot::{Mutex, RwLock};
-
-use crate::journal::{JournalOp, SharedJournal};
+use parking_lot::RwLock;
 
 struct Entry {
     value: Bytes,
@@ -20,28 +18,12 @@ struct Entry {
 pub struct KvStore {
     clock: SharedClock,
     hashes: RwLock<HashMap<String, HashMap<String, Entry>>>,
-    /// Journal sink (see [`crate::journal`]); writes record through it while
-    /// the `hashes` write lock is held, so journal order equals effect
-    /// order. Expiry is NOT journalled: it is derivable from the recorded
-    /// absolute `expires_at_nanos` at replay time.
-    journal: Mutex<Option<SharedJournal>>,
 }
 
 impl KvStore {
     /// New store reading expiry times from `clock`.
     pub fn new(clock: SharedClock) -> Arc<Self> {
-        Arc::new(KvStore { clock, hashes: RwLock::new(HashMap::new()), journal: Mutex::new(None) })
-    }
-
-    /// Install a journal sink for subsequent writes.
-    pub fn set_journal(&self, journal: SharedJournal) {
-        *self.journal.lock() = Some(journal);
-    }
-
-    fn record(&self, op: JournalOp<'_>) {
-        if let Some(journal) = self.journal.lock().as_ref() {
-            journal.record(op);
-        }
+        Arc::new(KvStore { clock, hashes: RwLock::new(HashMap::new()) })
     }
 
     fn now(&self) -> VirtualInstant {
@@ -63,14 +45,8 @@ impl KvStore {
         ttl: Option<VirtualDuration>,
     ) {
         let expires_at = ttl.map(|d| self.now() + d);
-        let mut guard = self.hashes.write();
-        self.record(JournalOp::KvSet {
-            key,
-            field,
-            value: &value,
-            expires_at_nanos: expires_at.map(|at| at.as_nanos()),
-        });
-        guard
+        self.hashes
+            .write()
             .entry(key.to_string())
             .or_default()
             .insert(field.to_string(), Entry { value, expires_at });
@@ -94,11 +70,7 @@ impl KvStore {
         let Some(hash) = guard.get_mut(key) else {
             return false;
         };
-        let removed = hash.remove(field);
-        if removed.is_some() {
-            self.record(JournalOp::KvDel { key, field });
-        }
-        let existed = match removed {
+        let existed = match hash.remove(field) {
             Some(entry) => entry.expires_at.map(|at| self.now() < at).unwrap_or(true),
             None => false,
         };
@@ -150,21 +122,11 @@ impl KvStore {
         match hash.get_mut(field) {
             Some(e) if e.expires_at.map(|at| now < at).unwrap_or(true) => {
                 e.expires_at = Some(now + ttl);
-                // Re-journal as a set with the new absolute expiry so a
-                // replayed store re-arms the same deadline.
-                let value = e.value.clone();
-                self.record(JournalOp::KvSet {
-                    key,
-                    field,
-                    value: &value,
-                    expires_at_nanos: Some((now + ttl).as_nanos()),
-                });
                 true
             }
             Some(_) => {
                 // Logically expired: reclaim it now instead of re-arming it.
                 hash.remove(field);
-                self.record(JournalOp::KvDel { key, field });
                 if hash.is_empty() {
                     guard.remove(key);
                 }

@@ -6,20 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use funcx_types::EndpointId;
 use parking_lot::{Condvar, Mutex};
-
-use crate::journal::{JournalOp, SharedJournal};
-use crate::store::QueueKind;
-
-/// Identity + sink for a journalled queue: which `(endpoint, kind)` this
-/// queue is, and where its mutations go. Installed by
-/// [`Store::set_journal`](crate::Store::set_journal).
-pub(crate) struct QueueTag {
-    pub(crate) journal: SharedJournal,
-    pub(crate) endpoint: EndpointId,
-    pub(crate) kind: QueueKind,
-}
 
 /// An unbounded, thread-safe FIFO with blocking pop and front-requeue.
 ///
@@ -29,10 +16,6 @@ pub(crate) struct QueueTag {
 pub struct BlockingQueue {
     inner: Mutex<QueueInner>,
     cv: Condvar,
-    /// Journal sink, if this queue belongs to a journalled store. Mutation
-    /// methods record through it while still holding `inner`, so journal
-    /// order equals effect order.
-    tag: Mutex<Option<QueueTag>>,
 }
 
 struct QueueInner {
@@ -46,33 +29,7 @@ impl BlockingQueue {
         Arc::new(BlockingQueue {
             inner: Mutex::new(QueueInner { items: VecDeque::new(), closed: false }),
             cv: Condvar::new(),
-            tag: Mutex::new(None),
         })
-    }
-
-    pub(crate) fn set_tag(&self, tag: QueueTag) {
-        *self.tag.lock() = Some(tag);
-    }
-
-    fn record_push(&self, front: bool, item: &[u8]) {
-        if let Some(tag) = self.tag.lock().as_ref() {
-            tag.journal.record(JournalOp::QueuePush {
-                endpoint: tag.endpoint,
-                kind: tag.kind,
-                front,
-                item,
-            });
-        }
-    }
-
-    fn record_pop(&self, count: u32) {
-        if let Some(tag) = self.tag.lock().as_ref() {
-            tag.journal.record(JournalOp::QueuePop {
-                endpoint: tag.endpoint,
-                kind: tag.kind,
-                count,
-            });
-        }
     }
 
     /// Append to the back (`RPUSH`). Returns false if the queue is closed.
@@ -81,7 +38,6 @@ impl BlockingQueue {
         if g.closed {
             return false;
         }
-        self.record_push(false, &item);
         g.items.push_back(item);
         drop(g);
         self.cv.notify_one();
@@ -94,7 +50,6 @@ impl BlockingQueue {
         if g.closed {
             return false;
         }
-        self.record_push(true, &item);
         g.items.push_front(item);
         drop(g);
         self.cv.notify_one();
@@ -103,12 +58,7 @@ impl BlockingQueue {
 
     /// Non-blocking pop (`LPOP`).
     pub fn try_pop(&self) -> Option<Bytes> {
-        let mut g = self.inner.lock();
-        let item = g.items.pop_front();
-        if item.is_some() {
-            self.record_pop(1);
-        }
-        item
+        self.inner.lock().items.pop_front()
     }
 
     /// Blocking pop (`BLPOP`) with a wall-clock timeout. Returns `None` on
@@ -118,18 +68,13 @@ impl BlockingQueue {
         let mut g = self.inner.lock();
         loop {
             if let Some(item) = g.items.pop_front() {
-                self.record_pop(1);
                 return Some(item);
             }
             if g.closed {
                 return None;
             }
             if self.cv.wait_until(&mut g, deadline).timed_out() {
-                let item = g.items.pop_front();
-                if item.is_some() {
-                    self.record_pop(1);
-                }
-                return item;
+                return g.items.pop_front();
             }
         }
     }
@@ -139,9 +84,6 @@ impl BlockingQueue {
     pub fn drain(&self, max: usize) -> Vec<Bytes> {
         let mut g = self.inner.lock();
         let n = g.items.len().min(max);
-        if n > 0 {
-            self.record_pop(n as u32);
-        }
         g.items.drain(..n).collect()
     }
 

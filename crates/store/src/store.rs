@@ -1,6 +1,12 @@
 //! The combined store handle the funcX service holds: one hash space plus
-//! named per-endpoint task/result queues (§4.1: "each registered endpoint
-//! is allocated a unique Redis task queue and result queue").
+//! a named task queue per endpoint (§4.1: "each registered endpoint is
+//! allocated a unique Redis task queue and result queue" — results here
+//! live in the task record, where clients poll for them, so only the task
+//! queue exists).
+//!
+//! Nothing here is durable and nothing here is journaled: after a restart
+//! the service re-derives each queue from the task records its write-ahead
+//! log restored, so a queue operation is one lock and no I/O.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -9,17 +15,15 @@ use funcx_types::time::SharedClock;
 use funcx_types::EndpointId;
 use parking_lot::Mutex;
 
-use crate::journal::{JournalOp, SharedJournal};
 use crate::kv::KvStore;
-use crate::queue::{BlockingQueue, QueueTag};
+use crate::queue::BlockingQueue;
 
-/// Which per-endpoint queue.
+/// Which per-endpoint queue. One kind is left; it stays an argument so call
+/// sites and the `funcx_queue_depth{kind=…}` label read as they always did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueKind {
     /// Tasks awaiting dispatch to the endpoint.
     Task,
-    /// Results awaiting retrieval by clients.
-    Result,
 }
 
 impl QueueKind {
@@ -27,26 +31,16 @@ impl QueueKind {
     pub fn label(&self) -> &'static str {
         match self {
             QueueKind::Task => "task",
-            QueueKind::Result => "result",
         }
     }
 }
 
 /// What `remove_endpoint_queues` found still buffered when it tore the
-/// queues down.
+/// queue down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueDrainCounts {
     /// Tasks that were queued but never dispatched.
     pub tasks_dropped: usize,
-    /// Results that were stored but never retrieved through the queue.
-    pub results_dropped: usize,
-}
-
-impl QueueDrainCounts {
-    /// Total items dropped across both queues.
-    pub fn total(&self) -> usize {
-        self.tasks_dropped + self.results_dropped
-    }
 }
 
 /// The service's Redis-shaped store.
@@ -54,47 +48,19 @@ pub struct Store {
     /// Hash space (task records, function bodies, memo cache).
     pub kv: Arc<KvStore>,
     queues: Mutex<HashMap<(EndpointId, QueueKind), Arc<BlockingQueue>>>,
-    journal: Mutex<Option<SharedJournal>>,
 }
 
 impl Store {
     /// New store on the given clock.
     pub fn new(clock: SharedClock) -> Arc<Self> {
-        Arc::new(Store {
-            kv: KvStore::new(clock),
-            queues: Mutex::new(HashMap::new()),
-            journal: Mutex::new(None),
-        })
-    }
-
-    /// Install a journal sink: every queue push/pop/removal and KV write
-    /// from now on is recorded through it, in effect order. Installed
-    /// *after* recovery replay so restored state is not re-journalled.
-    pub fn set_journal(&self, journal: SharedJournal) {
-        let queues = self.queues.lock();
-        for (&(endpoint, kind), q) in queues.iter() {
-            q.set_tag(QueueTag { journal: journal.clone(), endpoint, kind });
-        }
-        *self.journal.lock() = Some(journal.clone());
-        drop(queues);
-        self.kv.set_journal(journal);
+        Arc::new(Store { kv: KvStore::new(clock), queues: Mutex::new(HashMap::new()) })
     }
 
     /// Get (creating on first use) an endpoint's queue. Queue allocation
     /// happens at endpoint registration in the paper; lazy creation gives
     /// the same observable behaviour.
     pub fn queue(&self, endpoint: EndpointId, kind: QueueKind) -> Arc<BlockingQueue> {
-        self.queues
-            .lock()
-            .entry((endpoint, kind))
-            .or_insert_with(|| {
-                let q = BlockingQueue::new();
-                if let Some(journal) = self.journal.lock().as_ref() {
-                    q.set_tag(QueueTag { journal: journal.clone(), endpoint, kind });
-                }
-                q
-            })
-            .clone()
+        self.queues.lock().entry((endpoint, kind)).or_insert_with(BlockingQueue::new).clone()
     }
 
     /// Depth of a queue without creating it.
@@ -102,29 +68,14 @@ impl Store {
         self.queues.lock().get(&(endpoint, kind)).map(|q| q.len()).unwrap_or(0)
     }
 
-    /// Close and drop an endpoint's queues (endpoint deregistration).
-    /// Returns how many items each queue still held — undelivered work the
-    /// caller must account for (fail the tasks, count the results).
-    ///
-    /// Journalled as a terminal [`JournalOp::QueuesRemoved`]: recovery must
-    /// not resurrect a deregistered endpoint's queues.
+    /// Close and drop an endpoint's queue (endpoint deregistration).
+    /// Returns how many items it still held — undelivered work the caller
+    /// must account for (fail the tasks).
     pub fn remove_endpoint_queues(&self, endpoint: EndpointId) -> QueueDrainCounts {
-        let mut guard = self.queues.lock();
         let mut counts = QueueDrainCounts::default();
-        for kind in [QueueKind::Task, QueueKind::Result] {
-            if let Some(q) = guard.remove(&(endpoint, kind)) {
-                let dropped = q.len();
-                match kind {
-                    QueueKind::Task => counts.tasks_dropped = dropped,
-                    QueueKind::Result => counts.results_dropped = dropped,
-                }
-                q.close();
-            }
-        }
-        // Record under the map lock so a concurrent `queue()` re-creation
-        // cannot journal a push that lands before the removal.
-        if let Some(journal) = self.journal.lock().as_ref() {
-            journal.record(JournalOp::QueuesRemoved { endpoint });
+        if let Some(q) = self.queues.lock().remove(&(endpoint, QueueKind::Task)) {
+            counts.tasks_dropped = q.len();
+            q.close();
         }
         counts
     }
@@ -139,7 +90,7 @@ impl Store {
     pub fn queue_depths(&self) -> Vec<(EndpointId, QueueKind, usize)> {
         let mut out: Vec<(EndpointId, QueueKind, usize)> =
             self.queues.lock().iter().map(|(&(ep, kind), q)| (ep, kind, q.len())).collect();
-        out.sort_by_key(|&(ep, kind, _)| (ep, kind as u8));
+        out.sort_by_key(|&(ep, ..)| ep);
         out
     }
 }
@@ -158,7 +109,6 @@ mod tests {
         let ep2 = EndpointId::from_u128(2);
         store.queue(ep1, QueueKind::Task).push_back(Bytes::from_static(b"t"));
         assert_eq!(store.queue_len(ep1, QueueKind::Task), 1);
-        assert_eq!(store.queue_len(ep1, QueueKind::Result), 0);
         assert_eq!(store.queue_len(ep2, QueueKind::Task), 0);
         // Same handle on re-fetch.
         assert_eq!(store.queue(ep1, QueueKind::Task).len(), 1);
@@ -183,70 +133,25 @@ mod tests {
         let store = Store::new(ManualClock::new());
         let ep1 = EndpointId::from_u128(1);
         let ep2 = EndpointId::from_u128(2);
-        store.queue(ep2, QueueKind::Result).push_back(Bytes::from_static(b"r"));
+        store.queue(ep2, QueueKind::Task).push_back(Bytes::from_static(b"r"));
         store.queue(ep1, QueueKind::Task).push_back(Bytes::from_static(b"a"));
         store.queue(ep1, QueueKind::Task).push_back(Bytes::from_static(b"b"));
         assert_eq!(
             store.queue_depths(),
-            vec![(ep1, QueueKind::Task, 2), (ep2, QueueKind::Result, 1)]
+            vec![(ep1, QueueKind::Task, 2), (ep2, QueueKind::Task, 1)]
         );
         assert_eq!(QueueKind::Task.label(), "task");
-        assert_eq!(QueueKind::Result.label(), "result");
     }
 
     #[test]
-    fn journal_observes_ops_in_effect_order() {
-        use crate::journal::test_support::RecordingJournal;
-        let store = Store::new(ManualClock::new());
-        let ep = EndpointId::from_u128(1);
-        // Queue created before the journal is installed must still be tagged.
-        let pre = store.queue(ep, QueueKind::Task);
-        let journal = Arc::new(RecordingJournal::default());
-        store.set_journal(journal.clone());
-        pre.push_back(Bytes::from_static(b"a"));
-        store.queue(ep, QueueKind::Result).push_front(Bytes::from_static(b"r"));
-        pre.try_pop();
-        store.kv.hset("h", "f", Bytes::from_static(b"v"));
-        store.kv.hdel("h", "f");
-        assert_eq!(
-            *journal.lines.lock(),
-            vec![
-                "push task front=false [97]".to_string(),
-                "push result front=true [114]".to_string(),
-                "pop task x1".to_string(),
-                "hset h.f".to_string(),
-                "hdel h.f".to_string(),
-            ]
-        );
-    }
-
-    #[test]
-    fn remove_endpoint_queues_counts_and_journals_removal() {
-        use crate::journal::test_support::RecordingJournal;
+    fn remove_endpoint_queues_counts_what_was_left() {
         let store = Store::new(ManualClock::new());
         let ep = EndpointId::from_u128(7);
         store.queue(ep, QueueKind::Task).push_back(Bytes::from_static(b"t1"));
         store.queue(ep, QueueKind::Task).push_back(Bytes::from_static(b"t2"));
-        store.queue(ep, QueueKind::Result).push_back(Bytes::from_static(b"r1"));
-        let journal = Arc::new(RecordingJournal::default());
-        store.set_journal(journal.clone());
-        let counts = store.remove_endpoint_queues(ep);
-        assert_eq!(counts, QueueDrainCounts { tasks_dropped: 2, results_dropped: 1 });
-        assert_eq!(counts.total(), 3);
-        assert_eq!(journal.lines.lock().last().unwrap(), &format!("removed {ep:?}"));
-        // Removing an endpoint with no queues reports zero.
-        assert_eq!(store.remove_endpoint_queues(EndpointId::from_u128(8)).total(), 0);
-    }
-
-    #[test]
-    fn unjournalled_store_records_nothing() {
-        let store = Store::new(ManualClock::new());
-        let ep = EndpointId::from_u128(1);
-        // Smoke: all paths run with no journal installed.
-        store.queue(ep, QueueKind::Task).push_back(Bytes::from_static(b"x"));
-        store.queue(ep, QueueKind::Task).try_pop();
-        store.kv.hset("h", "f", Bytes::new());
-        store.remove_endpoint_queues(ep);
+        assert_eq!(store.remove_endpoint_queues(ep), QueueDrainCounts { tasks_dropped: 2 });
+        // Removing an endpoint with no queue reports zero.
+        assert_eq!(store.remove_endpoint_queues(EndpointId::from_u128(8)).tasks_dropped, 0);
     }
 
     #[test]

@@ -19,9 +19,6 @@
 //!   eviction + snapshot clones + pre-warming from a [`WindowedCounter`]
 //!   arrival rate), generic over key and value; the container warm-start
 //!   engine and the sandbox host are its two instantiations.
-//! * [`TraceRing`] — a bounded ring buffer of structured events stamped
-//!   with the shared virtual clock, so lifecycle traces line up with task
-//!   timelines under both `RealClock` and the test `ManualClock`.
 //! * [`fx_log!`] — leveled, key=value structured log lines with a global
 //!   atomic level filter and automatic `trace_id`/`span_id` attachment
 //!   when the calling thread is inside a span scope ([`log::enter_span`]).
@@ -32,11 +29,9 @@
 pub mod log;
 pub mod pool;
 pub mod registry;
-pub mod trace;
 pub mod window;
 
 pub use log::{LogLevel, SpanScope};
 pub use pool::{PoolConfig, PoolStats, Tier, TierModel, TieredPool};
 pub use registry::{Counter, FloatGauge, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
-pub use trace::{TraceEvent, TraceRing};
 pub use window::{WindowSnapshot, WindowedCounter, WindowedHistogram};

@@ -7,11 +7,12 @@
 //! journalled here before (or atomically with) taking effect:
 //!
 //! * task lifecycle — created, dispatched, requeued, result stored, result
-//!   retrieved, purged, failed-at-enqueue;
-//! * per-`(endpoint, queue kind)` queue pushes/pops and terminal removal;
+//!   retrieved, purged, failed-at-enqueue. This is also the only record of
+//!   queue membership: a queue is its endpoint's non-terminal tasks
+//!   ([`crate::WalState::owed`]), so no crash can leave a task's record and
+//!   its queue entry in disagreement;
 //! * memoization inserts (§4.7 — a warm cache is part of the service's
 //!   observable behaviour);
-//! * KV hash writes (the Redis scratch hash space);
 //! * endpoint/function registrations (the RDS registry substitute), so a
 //!   recovered service can re-dispatch without re-registration.
 //!
@@ -24,17 +25,7 @@ use funcx_types::task::{TaskOutcome, TaskRecord, TaskTimeline};
 use funcx_types::{EndpointId, TaskId};
 
 use crate::codec::{self, Cur};
-
-/// Which per-endpoint queue an event touches. Mirrors the store's queue
-/// kinds without depending on `funcx-store` (the store depends on nothing
-/// above `funcx-types`, and this crate sits beside it, not below it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// Tasks awaiting dispatch.
-    Task,
-    /// Results awaiting retrieval.
-    Result,
-}
+use crate::retired;
 
 /// One durable state change. Serialized with the hand-rolled binary codec
 /// ([`crate::codec`]) inside a CRC-framed record: the framing catches
@@ -92,32 +83,6 @@ pub enum DurableEvent {
         /// Human-readable reason, stored as the failure outcome.
         error: String,
     },
-    /// An item entered a queue.
-    QueuePush {
-        /// Queue owner.
-        endpoint_id: EndpointId,
-        /// Task or result queue.
-        kind: QueueKind,
-        /// True for front-requeue (`LPUSH`), false for append (`RPUSH`).
-        front: bool,
-        /// The raw queue item.
-        item: Vec<u8>,
-    },
-    /// `count` items left the front of a queue (pop or batch drain).
-    QueuePop {
-        /// Queue owner.
-        endpoint_id: EndpointId,
-        /// Task or result queue.
-        kind: QueueKind,
-        /// How many items were taken.
-        count: u32,
-    },
-    /// Terminal event for an endpoint's queues (deregistration): recovery
-    /// must not resurrect them.
-    QueuesRemoved {
-        /// The deregistered endpoint.
-        endpoint_id: EndpointId,
-    },
     /// A memoized result entered the cache.
     MemoInsert {
         /// Memo key (function body + input hash).
@@ -126,24 +91,6 @@ pub enum DurableEvent {
         codec: u8,
         /// The unpacked result body.
         body: Vec<u8>,
-    },
-    /// `HSET` on the KV hash space.
-    KvSet {
-        /// Hash name.
-        key: String,
-        /// Field within the hash.
-        field: String,
-        /// Stored bytes.
-        value: Vec<u8>,
-        /// Absolute virtual expiry in nanoseconds, if any.
-        expires_at_nanos: Option<u64>,
-    },
-    /// `HDEL` on the KV hash space.
-    KvDel {
-        /// Hash name.
-        key: String,
-        /// Field within the hash.
-        field: String,
     },
     /// An endpoint registered (RDS substitute). Re-registration of the same
     /// id (generation bumps) replaces the record.
@@ -161,23 +108,10 @@ pub enum DurableEvent {
         /// The registry record after the write.
         record: Box<FunctionRecord>,
     },
-}
-
-impl QueueKind {
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            QueueKind::Task => 0,
-            QueueKind::Result => 1,
-        }
-    }
-
-    pub(crate) fn from_tag(tag: u8) -> Option<QueueKind> {
-        match tag {
-            0 => Some(QueueKind::Task),
-            1 => Some(QueueKind::Result),
-            _ => None,
-        }
-    }
+    /// A record of a kind older builds wrote and this one does not (see
+    /// [`retired`]). It is still a record — it holds a sequence number and
+    /// counts as replayed, not skipped — and applying it changes nothing.
+    Retired,
 }
 
 impl DurableEvent {
@@ -232,40 +166,11 @@ impl DurableEvent {
                 codec::put_uuid(out, task_id.uuid());
                 codec::put_str(out, error);
             }
-            DurableEvent::QueuePush { endpoint_id, kind, front, item } => {
-                out.push(7);
-                codec::put_uuid(out, endpoint_id.uuid());
-                out.push(kind.tag());
-                codec::put_bool(out, *front);
-                codec::put_bytes(out, item);
-            }
-            DurableEvent::QueuePop { endpoint_id, kind, count } => {
-                out.push(8);
-                codec::put_uuid(out, endpoint_id.uuid());
-                out.push(kind.tag());
-                codec::put_u32(out, *count);
-            }
-            DurableEvent::QueuesRemoved { endpoint_id } => {
-                out.push(9);
-                codec::put_uuid(out, endpoint_id.uuid());
-            }
             DurableEvent::MemoInsert { key, codec: wire, body } => {
                 out.push(10);
                 codec::put_u64(out, *key);
                 out.push(*wire);
                 codec::put_bytes(out, body);
-            }
-            DurableEvent::KvSet { key, field, value, expires_at_nanos } => {
-                out.push(11);
-                codec::put_str(out, key);
-                codec::put_str(out, field);
-                codec::put_bytes(out, value);
-                codec::put_opt(out, expires_at_nanos.as_ref(), |o, n| codec::put_u64(o, *n));
-            }
-            DurableEvent::KvDel { key, field } => {
-                out.push(12);
-                codec::put_str(out, key);
-                codec::put_str(out, field);
             }
             DurableEvent::EndpointRegistered { record } => {
                 out.push(17);
@@ -279,6 +184,7 @@ impl DurableEvent {
                 out.push(18);
                 codec::put_function_record(out, record);
             }
+            DurableEvent::Retired => out.push(retired::MARKER),
         }
     }
 
@@ -313,30 +219,9 @@ impl DurableEvent {
                 task_id: TaskId(codec::read_uuid(&mut cur)?),
                 error: cur.str()?,
             },
-            7 => DurableEvent::QueuePush {
-                endpoint_id: EndpointId(codec::read_uuid(&mut cur)?),
-                kind: QueueKind::from_tag(cur.u8()?)?,
-                front: cur.bool()?,
-                item: cur.bytes()?,
-            },
-            8 => DurableEvent::QueuePop {
-                endpoint_id: EndpointId(codec::read_uuid(&mut cur)?),
-                kind: QueueKind::from_tag(cur.u8()?)?,
-                count: cur.u32()?,
-            },
-            9 => {
-                DurableEvent::QueuesRemoved { endpoint_id: EndpointId(codec::read_uuid(&mut cur)?) }
-            }
             10 => {
                 DurableEvent::MemoInsert { key: cur.u64()?, codec: cur.u8()?, body: cur.bytes()? }
             }
-            11 => DurableEvent::KvSet {
-                key: cur.str()?,
-                field: cur.str()?,
-                value: cur.bytes()?,
-                expires_at_nanos: cur.opt(|c| c.u64())?,
-            },
-            12 => DurableEvent::KvDel { key: cur.str()?, field: cur.str()? },
             13 => DurableEvent::EndpointRegistered {
                 record: Box::new(codec::read_endpoint_record_v1(&mut cur)?),
             },
@@ -355,7 +240,7 @@ impl DurableEvent {
             18 => DurableEvent::FunctionRegistered {
                 record: Box::new(codec::read_function_record(&mut cur)?),
             },
-            _ => return None,
+            tag => retired::read(tag, &mut cur)?,
         };
         if !cur.at_end() {
             return None;
@@ -473,34 +358,59 @@ mod tests {
             DurableEvent::ResultRetrieved { task_id: TaskId::from_u128(1), at_nanos: 7 },
             DurableEvent::TaskPurged { task_id: TaskId::from_u128(1) },
             DurableEvent::TaskFailed { task_id: TaskId::from_u128(1), error: "gone".into() },
-            DurableEvent::QueuePush {
-                endpoint_id: EndpointId::from_u128(3),
-                kind: QueueKind::Task,
-                front: true,
-                item: vec![0xAB],
-            },
-            DurableEvent::QueuePop {
-                endpoint_id: EndpointId::from_u128(3),
-                kind: QueueKind::Result,
-                count: 4,
-            },
-            DurableEvent::QueuesRemoved { endpoint_id: EndpointId::from_u128(3) },
             DurableEvent::MemoInsert { key: 0xDEAD, codec: b'N', body: vec![5] },
-            DurableEvent::KvSet {
-                key: "h".into(),
-                field: "f".into(),
-                value: vec![1],
-                expires_at_nanos: Some(99),
-            },
-            DurableEvent::KvDel { key: "h".into(), field: "f".into() },
             DurableEvent::EndpointRegistered { record: Box::new(sample_endpoint()) },
             DurableEvent::EndpointDeregistered { endpoint_id: EndpointId::from_u128(3) },
             DurableEvent::FunctionRegistered { record: Box::new(sample_function()) },
+            DurableEvent::Retired,
         ];
         for event in events {
             let bytes = event.to_bytes();
             assert_eq!(DurableEvent::from_bytes(&bytes), Some(event));
         }
+    }
+
+    /// The five retired layouts, hand-encoded as the last build that wrote
+    /// them did ([`crate::retired`]'s table).
+    fn retired_records() -> Vec<Vec<u8>> {
+        let endpoint = EndpointId::from_u128(3).uuid();
+        let mut push = vec![7u8];
+        codec::put_uuid(&mut push, endpoint);
+        push.push(0); // task queue
+        codec::put_bool(&mut push, true);
+        codec::put_bytes(&mut push, &1u128.to_be_bytes());
+        let mut pop = vec![8u8];
+        codec::put_uuid(&mut pop, endpoint);
+        pop.push(1); // result queue
+        codec::put_u32(&mut pop, 4);
+        let mut removed = vec![9u8];
+        codec::put_uuid(&mut removed, endpoint);
+        let mut set = vec![11u8];
+        codec::put_str(&mut set, "h");
+        codec::put_str(&mut set, "f");
+        codec::put_bytes(&mut set, &[1]);
+        codec::put_opt(&mut set, Some(&99u64), |o, n| codec::put_u64(o, *n));
+        let mut del = vec![12u8];
+        codec::put_str(&mut del, "h");
+        codec::put_str(&mut del, "f");
+        vec![push, pop, removed, set, del]
+    }
+
+    #[test]
+    fn retired_records_decode_whole_or_not_at_all() {
+        for bytes in retired_records() {
+            assert_eq!(DurableEvent::from_bytes(&bytes), Some(DurableEvent::Retired));
+            // Still shape-checked: a cut or padded one is a bad record.
+            for cut in 0..bytes.len() {
+                assert_eq!(DurableEvent::from_bytes(&bytes[..cut]), None, "cut at {cut}");
+            }
+            let padded = [&bytes[..], &[0u8][..]].concat();
+            assert_eq!(DurableEvent::from_bytes(&padded), None);
+        }
+        // A queue kind that never existed is corruption, not history.
+        let mut bad_kind = retired_records().swap_remove(1);
+        bad_kind[17] = 2;
+        assert_eq!(DurableEvent::from_bytes(&bad_kind), None);
     }
 
     #[test]
@@ -529,12 +439,7 @@ mod tests {
                 outcome: TaskOutcome::Failure("boom".into()),
                 timeline: TaskTimeline::default(),
             },
-            DurableEvent::QueuePush {
-                endpoint_id: EndpointId::from_u128(3),
-                kind: QueueKind::Result,
-                front: false,
-                item: vec![1, 2, 3, 4],
-            },
+            DurableEvent::MemoInsert { key: 7, codec: b'N', body: vec![1, 2, 3, 4] },
             DurableEvent::EndpointRegistered { record: Box::new(sample_endpoint()) },
             DurableEvent::FunctionRegistered { record: Box::new(sample_function()) },
         ];

@@ -14,6 +14,7 @@
 //! * [`frame`] — `[len][crc32][payload]` record framing + torn-tail scan.
 //! * [`codec`] — hand-rolled binary encode/decode for payloads.
 //! * [`event`] — the [`DurableEvent`] model of what must survive.
+//! * `retired` — decode-only shapes of record kinds no longer written.
 //! * [`state`] — [`WalState`], the materialized view / replay target.
 //! * [`snapshot`] — checkpoint format: a whole state as bounded frames.
 //! * `recover` — (checkpoint, segments) → state, and its write-back.
@@ -25,11 +26,19 @@ pub mod event;
 pub mod frame;
 pub mod log;
 mod recover;
+mod retired;
 pub mod ship;
 pub mod snapshot;
 pub mod state;
 
-pub use event::{DurableEvent, QueueKind};
+pub use event::DurableEvent;
 pub use log::{AppendInfo, FsyncPolicy, RecoveryInfo, Wal, WalConfig, WalInstruments};
 pub use ship::{Follower, SegmentShipper, Shipment};
 pub use state::WalState;
+
+/// Test fodder shared with `tests/`: the records the service really writes.
+#[cfg(test)]
+pub(crate) mod fodder {
+    use crate::DurableEvent;
+    include!("../tests/fixtures/lifecycle_events.rs");
+}

@@ -614,9 +614,7 @@ impl Drop for Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::QueueKind;
     use crate::recover::snapshot_path;
-    use funcx_types::EndpointId;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -626,13 +624,10 @@ mod tests {
         dir
     }
 
+    /// Task `i` submitted to endpoint 1: it stays owed, so the state grows
+    /// by one queue position per append.
     fn push(i: u64) -> DurableEvent {
-        DurableEvent::QueuePush {
-            endpoint_id: EndpointId::from_u128(1),
-            kind: QueueKind::Task,
-            front: false,
-            item: i.to_le_bytes().to_vec(),
-        }
+        crate::fodder::waiting_task(i as u128, 1, 8)
     }
 
     fn config(dir: &Path) -> WalConfig {
@@ -714,9 +709,10 @@ mod tests {
         }
         let wal = Wal::open(cfg, WalInstruments::standalone()).unwrap();
         assert_eq!(wal.recovery_info().replayed, 40);
-        let queue = &wal.state().queues[&(EndpointId::from_u128(1), QueueKind::Task)];
+        let state = wal.state();
+        let queue = state.owed();
         assert_eq!(queue.len(), 40);
-        assert_eq!(queue[39], 39u64.to_le_bytes().to_vec());
+        assert_eq!(queue[39].spec.task_id, funcx_types::TaskId::from_u128(39));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -930,8 +926,7 @@ mod tests {
         let info = wal.recovery_info();
         assert!(info.snapshot_loaded);
         assert_eq!(info.replayed, 1_000, "exactly what was appended behind the cut");
-        let queue = &wal.state().queues[&(EndpointId::from_u128(1), QueueKind::Task)];
-        assert_eq!(queue.len(), 51_000);
+        assert_eq!(wal.state().owed().len(), 51_000);
         drop(wal);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -976,7 +971,7 @@ mod tests {
         assert_eq!(wal.folds(), 3, "snapshot_now");
         let state = wal.state();
         assert_eq!(wal.folds(), 4, "state");
-        assert_eq!(state.queues[&(EndpointId::from_u128(1), QueueKind::Task)].len(), 9);
+        assert_eq!(state.owed().len(), 9);
         drop(wal);
         fs::remove_dir_all(&dir).unwrap();
     }

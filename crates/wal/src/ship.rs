@@ -262,8 +262,9 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fodder::{event, waiting_task};
     use crate::log::{FsyncPolicy, Wal, WalConfig, WalInstruments};
-    use funcx_types::EndpointId;
+    use funcx_types::TaskId;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let nanos = std::time::SystemTime::now()
@@ -271,15 +272,6 @@ mod tests {
             .expect("clock after epoch")
             .as_nanos();
         std::env::temp_dir().join(format!("funcx-ship-{tag}-{}-{nanos}", std::process::id()))
-    }
-
-    fn event(i: u64) -> DurableEvent {
-        DurableEvent::KvSet {
-            key: format!("k-{}", i % 3),
-            field: format!("f-{i}"),
-            value: vec![i as u8; (i as usize % 5) + 1],
-            expires_at_nanos: None,
-        }
     }
 
     #[test]
@@ -341,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_events_replicate_queue_state() {
+    fn lifecycle_events_replicate_the_derived_queue() {
         let dir = tmp_dir("queues");
         let config = WalConfig {
             fsync: FsyncPolicy::Always,
@@ -349,28 +341,21 @@ mod tests {
             ..WalConfig::new(dir.clone())
         };
         let wal = Wal::open(config, WalInstruments::standalone()).unwrap();
-        let ep = EndpointId::from_u128(7);
-        for i in 0..4u128 {
-            wal.append(&DurableEvent::QueuePush {
-                endpoint_id: ep,
-                kind: crate::event::QueueKind::Task,
-                front: false,
-                item: i.to_be_bytes().to_vec(),
-            })
-            .unwrap();
+        for id in 0..4 {
+            wal.append(&waiting_task(id, 7, 3)).unwrap();
         }
-        wal.append(&DurableEvent::QueuePop {
-            endpoint_id: ep,
-            kind: crate::event::QueueKind::Task,
-            count: 1,
+        wal.append(&DurableEvent::TaskDispatched { task_id: TaskId::from_u128(0) }).unwrap();
+        wal.append(&DurableEvent::TaskFailed {
+            task_id: TaskId::from_u128(0),
+            error: "rejected".into(),
         })
         .unwrap();
 
         let mut follower = Follower::new();
         follower.catch_up(&SegmentShipper::new(&dir), 100).unwrap();
-        let items = &follower.state().queues[&(ep, crate::event::QueueKind::Task)];
-        assert_eq!(items.len(), 3, "one of four pushes was popped");
-        assert_eq!(items[0], 1u128.to_be_bytes().to_vec());
+        let owed: Vec<TaskId> =
+            follower.state().owed().iter().map(|record| record.spec.task_id).collect();
+        assert_eq!(owed, [1, 2, 3].map(TaskId::from_u128), "one of four tasks finished");
 
         drop(wal);
         std::fs::remove_dir_all(&dir).ok();
@@ -386,6 +371,7 @@ mod tests {
             ..WalConfig::new(dir.clone())
         };
         let wal = Wal::open(config, WalInstruments::standalone()).unwrap();
+        let event = |i: u64| DurableEvent::TaskDispatched { task_id: TaskId::from_u128(i as u128) };
         let mut i = 0;
         while list_numbered(&dir, "wal-", ".seg").unwrap().len() < 11 {
             wal.append(&event(i)).unwrap();

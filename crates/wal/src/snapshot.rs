@@ -8,27 +8,30 @@
 //! * a header frame, `[version: u8][next_seq: u64]`;
 //! * chunk frames, `[FRAME_CHUNK][entry]…`, each closed once it passes the
 //!   writer's chunk bound. An entry is a one-byte section tag followed by
-//!   one item in [`crate::codec`] conventions (all little-endian): a task
-//!   record, a dispatch-order id, a queue (endpoint + kind, which may stay
-//!   empty), one item of the queue declared last, a removed-queue
-//!   endpoint, a memo entry, a KV entry, an endpoint record, a function
-//!   record;
+//!   one item in [`crate::codec`] conventions (all little-endian). Five
+//!   kinds are written: a task record (the owed tasks first, oldest
+//!   arrival first — entry order *is* the queue order — then the terminal
+//!   ones), a deregistered endpoint, a memo entry, an endpoint record, a
+//!   function record. Four more are only read, from checkpoints written
+//!   before queues were derived from task state ([`crate::retired`]): a
+//!   dispatch-order id, a queue declaration, one item of the queue
+//!   declared last, a KV entry;
 //! * a trailer frame, `[FRAME_TRAILER][chunks: u64][entries: u64]`.
 //!
 //! A file that ends before its trailer, fails a CRC, or whose counts
 //! disagree is torn: it reads as `None` and recovery falls back to an
-//! older checkpoint plus a longer replay. Map iteration order is not
-//! deterministic (the sections come from `HashMap`s), but duplicate keys
-//! cannot occur on write; on read, last-one-wins matches replay order.
+//! older checkpoint plus a longer replay. Apart from the owed tasks, entry
+//! order is not deterministic (the sections come from `HashMap`s), but
+//! duplicate keys cannot occur on write; on read, last-one-wins matches
+//! replay order.
 
 use std::io::{self, Read, Write};
 
-use funcx_types::{EndpointId, TaskId};
-use std::collections::VecDeque;
+use funcx_types::EndpointId;
 
 use crate::codec::{self, Cur};
-use crate::event::QueueKind;
 use crate::frame::{read_frame, seal_frame, HEADER_LEN};
+use crate::retired::{self, LegacyQueue};
 use crate::state::WalState;
 
 /// Bumped when the checkpoint layout changes; an unknown version reads as
@@ -48,14 +51,15 @@ const FRAME_CHUNK: u8 = 1;
 const FRAME_TRAILER: u8 = 2;
 
 const ENTRY_TASK: u8 = 1;
-const ENTRY_DISPATCHED: u8 = 2;
-const ENTRY_QUEUE: u8 = 3;
-const ENTRY_QUEUE_ITEM: u8 = 4;
-const ENTRY_REMOVED_QUEUES: u8 = 5;
+const ENTRY_DEREGISTERED: u8 = 5;
 const ENTRY_MEMO: u8 = 6;
-const ENTRY_KV: u8 = 7;
 const ENTRY_ENDPOINT: u8 = 8;
 const ENTRY_FUNCTION: u8 = 9;
+// Read, never written.
+const ENTRY_LEGACY_DISPATCHED: u8 = 2;
+const ENTRY_LEGACY_QUEUE: u8 = 3;
+const ENTRY_LEGACY_QUEUE_ITEM: u8 = 4;
+const ENTRY_LEGACY_KV: u8 = 7;
 
 /// A chunk frame is closed once it holds this many bytes; one entry larger
 /// than the bound still travels whole, in a frame of its own.
@@ -151,37 +155,17 @@ pub fn write_checkpoint(
     tick: Tick<'_>,
 ) -> io::Result<u64> {
     let mut w = CheckpointWriter::new(out, next_seq, chunk_bound, tick)?;
-    for record in state.tasks.values() {
+    for record in state.tasks_in_order() {
         w.entry(ENTRY_TASK, |o| codec::put_task_record(o, record))?;
     }
-    for task_id in &state.dispatch_order {
-        w.entry(ENTRY_DISPATCHED, |o| codec::put_uuid(o, task_id.uuid()))?;
-    }
-    for ((endpoint_id, kind), items) in &state.queues {
-        w.entry(ENTRY_QUEUE, |o| {
-            codec::put_uuid(o, endpoint_id.uuid());
-            o.push(kind.tag());
-        })?;
-        for item in items {
-            w.entry(ENTRY_QUEUE_ITEM, |o| codec::put_bytes(o, item))?;
-        }
-    }
-    for endpoint_id in &state.removed_queues {
-        w.entry(ENTRY_REMOVED_QUEUES, |o| codec::put_uuid(o, endpoint_id.uuid()))?;
+    for endpoint_id in &state.deregistered {
+        w.entry(ENTRY_DEREGISTERED, |o| codec::put_uuid(o, endpoint_id.uuid()))?;
     }
     for (key, (wire, body)) in &state.memo {
         w.entry(ENTRY_MEMO, |o| {
             codec::put_u64(o, *key);
             o.push(*wire);
             codec::put_bytes(o, body);
-        })?;
-    }
-    for ((key, field), (value, expires)) in &state.kv {
-        w.entry(ENTRY_KV, |o| {
-            codec::put_str(o, key);
-            codec::put_str(o, field);
-            codec::put_bytes(o, value);
-            codec::put_opt(o, expires.as_ref(), |o, n| codec::put_u64(o, *n));
         })?;
     }
     for record in state.endpoints.values() {
@@ -268,42 +252,25 @@ fn scan(
     }
 }
 
-/// Decode the entries of one chunk into `state`. `queue` carries the queue
-/// declared last across chunk boundaries. Returns the entries decoded.
-fn decode_chunk(
-    state: &mut WalState,
-    queue: &mut Option<(EndpointId, QueueKind)>,
-    entries: &[u8],
-) -> Option<u64> {
+/// Decode the entries of one chunk into `state`. `legacy` carries the
+/// queue declared last across chunk boundaries. Returns the entries decoded.
+fn decode_chunk(state: &mut WalState, legacy: &mut LegacyQueue, entries: &[u8]) -> Option<u64> {
     let mut cur = Cur::new(entries);
     let mut decoded = 0u64;
     while !cur.at_end() {
         match cur.u8()? {
-            ENTRY_TASK => {
-                let record = codec::read_task_record(&mut cur)?;
-                state.tasks.insert(record.spec.task_id, record);
+            ENTRY_TASK => state.insert_task(codec::read_task_record(&mut cur)?),
+            ENTRY_DEREGISTERED => {
+                state.deregistered.insert(EndpointId(codec::read_uuid(&mut cur)?));
             }
-            ENTRY_DISPATCHED => state.dispatch_order.push(TaskId(codec::read_uuid(&mut cur)?)),
-            ENTRY_QUEUE => {
-                let key =
-                    (EndpointId(codec::read_uuid(&mut cur)?), QueueKind::from_tag(cur.u8()?)?);
-                state.queues.entry(key).or_default();
-                *queue = Some(key);
-            }
-            ENTRY_QUEUE_ITEM => state.queues.get_mut(&(*queue)?)?.push_back(cur.bytes()?),
-            ENTRY_REMOVED_QUEUES => {
-                state.removed_queues.insert(EndpointId(codec::read_uuid(&mut cur)?));
-            }
+            ENTRY_LEGACY_DISPATCHED => retired::dispatched(&mut cur, state)?,
+            ENTRY_LEGACY_QUEUE => legacy.declare(&mut cur)?,
+            ENTRY_LEGACY_QUEUE_ITEM => legacy.item(&mut cur, state)?,
+            ENTRY_LEGACY_KV => retired::kv(&mut cur)?,
             ENTRY_MEMO => {
                 let key = cur.u64()?;
                 let wire = cur.u8()?;
                 state.memo.insert(key, (wire, cur.bytes()?));
-            }
-            ENTRY_KV => {
-                let key = cur.str()?;
-                let field = cur.str()?;
-                let value = cur.bytes()?;
-                state.kv.insert((key, field), (value, cur.opt(|c| c.u64())?));
             }
             ENTRY_ENDPOINT => {
                 let record = codec::read_endpoint_record(&mut cur)?;
@@ -326,11 +293,11 @@ fn decode_chunk(
 /// log.
 pub fn read_checkpoint(reader: impl Read, tick: Tick<'_>) -> io::Result<Option<(WalState, u64)>> {
     let mut state = WalState::new();
-    let mut queue = None;
+    let mut legacy = LegacyQueue::default();
     let mut decoded = 0u64;
     let scanned = scan(reader, tick, |part| match part {
         Part::Chunk(entries) => {
-            decoded += decode_chunk(&mut state, &mut queue, entries)?;
+            decoded += decode_chunk(&mut state, &mut legacy, entries)?;
             Some(())
         }
         Part::SingleFrame(sections) => {
@@ -358,43 +325,30 @@ fn decode_v2(sections: &[u8]) -> Option<WalState> {
     let mut cur = Cur::new(sections);
     let mut state = WalState::new();
     for _ in 0..cur.count()? {
-        let record = codec::read_task_record(&mut cur)?;
-        state.tasks.insert(record.spec.task_id, record);
+        state.insert_task(codec::read_task_record(&mut cur)?);
     }
-
     for _ in 0..cur.count()? {
-        state.dispatch_order.push(TaskId(codec::read_uuid(&mut cur)?));
+        retired::dispatched(&mut cur, &mut state)?;
     }
-
     for _ in 0..cur.count()? {
-        let endpoint_id = EndpointId(codec::read_uuid(&mut cur)?);
-        let kind = QueueKind::from_tag(cur.u8()?)?;
-        let mut items = VecDeque::new();
+        let mut queue = LegacyQueue::default();
+        queue.declare(&mut cur)?;
         for _ in 0..cur.count()? {
-            items.push_back(cur.bytes()?);
+            queue.item(&mut cur, &mut state)?;
         }
-        state.queues.insert((endpoint_id, kind), items);
     }
-
     for _ in 0..cur.count()? {
-        state.removed_queues.insert(EndpointId(codec::read_uuid(&mut cur)?));
+        state.deregistered.insert(EndpointId(codec::read_uuid(&mut cur)?));
     }
-
     for _ in 0..cur.count()? {
         let key = cur.u64()?;
         let wire = cur.u8()?;
         let body = cur.bytes()?;
         state.memo.insert(key, (wire, body));
     }
-
     for _ in 0..cur.count()? {
-        let key = cur.str()?;
-        let field = cur.str()?;
-        let value = cur.bytes()?;
-        let expires = cur.opt(|c| c.u64())?;
-        state.kv.insert((key, field), (value, expires));
+        retired::kv(&mut cur)?;
     }
-
     for _ in 0..cur.count()? {
         let record = codec::read_endpoint_record(&mut cur)?;
         state.endpoints.insert(record.endpoint_id, record);
@@ -415,45 +369,19 @@ fn decode_v2(sections: &[u8]) -> Option<WalState> {
 mod tests {
     use super::*;
     use crate::event::DurableEvent;
+    use crate::fodder::{event, waiting_task};
     use crate::frame::{decode_all, decode_frame, encode_frame};
-    use funcx_types::task::{TaskRecord, TaskSpec};
-    use funcx_types::time::VirtualInstant;
-    use funcx_types::{FunctionId, UserId};
+    use funcx_types::TaskId;
 
+    /// Three groups of the lifecycle stream: owed tasks on two endpoints
+    /// (one re-routed), finished ones, a memo entry, a deregistration.
     fn populated_state() -> WalState {
         let mut state = WalState::new();
-        let mut record = TaskRecord::new(
-            TaskSpec {
-                task_id: TaskId::from_u128(1),
-                function_id: FunctionId::from_u128(2),
-                endpoint_id: EndpointId::from_u128(3),
-                user_id: UserId::from_u128(4),
-                payload: vec![1, 2, 3],
-                container: None,
-                allow_memo: true,
-                pool: None,
-                span: Default::default(),
-                runtime: Default::default(),
-            },
-            VirtualInstant::from_nanos(10),
-        );
-        record.state = funcx_types::task::TaskState::WaitingForEndpoint;
-        state.apply(&DurableEvent::TaskCreated { record: Box::new(record) });
-        state.apply(&DurableEvent::TaskDispatched { task_id: TaskId::from_u128(1) });
-        state.apply(&DurableEvent::QueuePush {
-            endpoint_id: EndpointId::from_u128(3),
-            kind: QueueKind::Task,
-            front: false,
-            item: vec![0xAA, 0xBB],
-        });
-        state.apply(&DurableEvent::QueuesRemoved { endpoint_id: EndpointId::from_u128(9) });
-        state.apply(&DurableEvent::MemoInsert { key: 77, codec: b'N', body: vec![5] });
-        state.apply(&DurableEvent::KvSet {
-            key: "hash".into(),
-            field: "field".into(),
-            value: vec![9],
-            expires_at_nanos: Some(123),
-        });
+        for i in 0..24 {
+            state.apply(&event(i));
+        }
+        assert!(state.owed().len() >= 2 && !state.memo.is_empty());
+        assert!(!state.deregistered.is_empty());
         state
     }
 
@@ -492,26 +420,9 @@ mod tests {
     #[test]
     fn small_chunk_bound_splits_the_stream_and_reads_back() {
         let mut state = populated_state();
-        for i in 0..40u8 {
-            state.apply(&DurableEvent::QueuePush {
-                endpoint_id: EndpointId::from_u128(3 + (i as u128 % 2)),
-                kind: QueueKind::Result,
-                front: false,
-                item: vec![i; 1 + i as usize],
-            });
+        for i in 24..64 {
+            state.apply(&event(i));
         }
-        // A queue that was drained stays in the state, empty.
-        state.apply(&DurableEvent::QueuePush {
-            endpoint_id: EndpointId::from_u128(8),
-            kind: QueueKind::Task,
-            front: false,
-            item: vec![1],
-        });
-        state.apply(&DurableEvent::QueuePop {
-            endpoint_id: EndpointId::from_u128(8),
-            kind: QueueKind::Task,
-            count: 1,
-        });
 
         let mut bytes = Vec::new();
         let mut ticks = 0u64;
@@ -548,6 +459,64 @@ mod tests {
         // Bytes after the trailer are not a checkpoint this writer made.
         let padded = [&bytes[..], &[0u8][..]].concat();
         assert!(decode_snapshot(&padded).is_none());
+    }
+
+    #[test]
+    fn sections_of_an_older_checkpoint_order_the_tasks_and_are_dropped() {
+        let task = |id: u128| {
+            let DurableEvent::TaskCreated { record } = waiting_task(id, 3, 4) else {
+                unreachable!()
+            };
+            *record
+        };
+        let mut done = task(4);
+        done.state = funcx_types::task::TaskState::Failed;
+        let ep = |id: u128| EndpointId::from_u128(id).uuid();
+
+        // What the previous writer produced: tasks in map order, then the
+        // dispatch list, the queues, the removed queues, the KV space.
+        let mut bytes = Vec::new();
+        let mut tick = || Ok(());
+        let mut w = CheckpointWriter::new(&mut bytes, 7, CHUNK_BYTES, &mut tick).unwrap();
+        for record in [task(3), done.clone(), task(1), task(2)] {
+            w.entry(ENTRY_TASK, |o| codec::put_task_record(o, &record)).unwrap();
+        }
+        w.entry(ENTRY_LEGACY_DISPATCHED, |o| codec::put_uuid(o, TaskId::from_u128(2).uuid()))
+            .unwrap();
+        let queue = |w: &mut CheckpointWriter<'_, &mut Vec<u8>>, kind: u8, items: &[Vec<u8>]| {
+            w.entry(ENTRY_LEGACY_QUEUE, |o| {
+                codec::put_uuid(o, ep(3));
+                o.push(kind);
+            })
+            .unwrap();
+            for item in items {
+                w.entry(ENTRY_LEGACY_QUEUE_ITEM, |o| codec::put_bytes(o, item)).unwrap();
+            }
+        };
+        // A result queue's items name finished tasks: never an order.
+        queue(&mut w, 1, &[4u128.to_be_bytes().to_vec(), 1u128.to_be_bytes().to_vec()]);
+        queue(&mut w, 0, &[1u128.to_be_bytes().to_vec(), 3u128.to_be_bytes().to_vec()]);
+        w.entry(ENTRY_DEREGISTERED, |o| codec::put_uuid(o, ep(9))).unwrap();
+        w.entry(ENTRY_LEGACY_KV, |o| {
+            codec::put_str(o, "hash");
+            codec::put_str(o, "field");
+            codec::put_bytes(o, &[9]);
+            codec::put_opt(o, Some(&123u64), |o, n| codec::put_u64(o, *n));
+        })
+        .unwrap();
+        w.finish().unwrap();
+
+        let (state, next_seq) = decode_snapshot(&bytes).expect("an older checkpoint reads");
+        assert_eq!(next_seq, 7);
+        let owed: Vec<TaskId> = state.owed().iter().map(|r| r.spec.task_id).collect();
+        assert_eq!(owed, [2, 1, 3].map(TaskId::from_u128), "dispatched first, then the queue");
+        assert_eq!(state.tasks[&TaskId::from_u128(4)], done);
+        assert!(state.deregistered.contains(&EndpointId::from_u128(9)));
+
+        // Written back, only the current sections remain — and the order.
+        let rewritten = encode_snapshot(&state, 7);
+        assert!(rewritten.len() < bytes.len());
+        assert_eq!(decode_snapshot(&rewritten), Some((state, 7)));
     }
 
     #[test]

@@ -11,40 +11,85 @@
 //! `apply` must never panic: the log being replayed may be an arbitrary
 //! valid prefix of history (a crash can land between any two appends), so
 //! every transition is guarded rather than asserted, and events that no
-//! longer make sense (result for a purged task, pop on a missing queue)
+//! longer make sense (result for a purged task, dispatch of a finished one)
 //! are dropped instead of trusted.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use funcx_registry::{EndpointRecord, FunctionRecord};
 use funcx_types::task::{TaskOutcome, TaskRecord, TaskState};
 use funcx_types::time::VirtualInstant;
 use funcx_types::{EndpointId, FunctionId, TaskId};
 
-use crate::event::{DurableEvent, QueueKind};
+use crate::event::DurableEvent;
+
+/// Hasher of the maps keyed by task id. Task ids are random uuids minted
+/// by the service, so folding their bytes through one multiply spreads
+/// them; every replayed record is a lookup by task id, and SipHash was the
+/// larger part of applying one.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by task id.
+pub type TaskMap<V> = HashMap<TaskId, V, BuildHasherDefault<IdHasher>>;
 
 /// Durable state reconstructed from the log.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// There is no record of queue contents: an endpoint's task queue *is* its
+/// non-terminal tasks, oldest arrival first ([`WalState::owed`]). A task
+/// arrives at an endpoint when its `TaskCreated` is applied, and again
+/// when a `TaskRequeued` moves it to a different endpoint (a pool
+/// re-route joins the back of the sibling's line, as it does live).
+#[derive(Debug, Clone, Default)]
 pub struct WalState {
     /// Task records by id — the Redis task-store substitute.
-    pub tasks: HashMap<TaskId, TaskRecord>,
-    /// Tasks currently dispatched-but-unacked, in dispatch order. Recovery
-    /// re-queues these (front of queue, order preserved) for at-least-once
-    /// redelivery.
-    pub dispatch_order: Vec<TaskId>,
-    /// Per-endpoint queue contents — the Redis list substitute.
-    pub queues: HashMap<(EndpointId, QueueKind), VecDeque<Vec<u8>>>,
-    /// Endpoints whose queues were terminally removed (deregistration):
-    /// recovery must not resurrect these.
-    pub removed_queues: HashSet<EndpointId>,
+    pub tasks: TaskMap<TaskRecord>,
+    /// Arrival stamp of every non-terminal task; terminal tasks have none,
+    /// so this is bounded by the work in flight, not by history.
+    arrivals: TaskMap<u64>,
+    next_arrival: u64,
+    /// Endpoints this log deregistered and has not seen register again.
+    /// What such an endpoint still owed can never run: recovery fails it.
+    pub deregistered: HashSet<EndpointId>,
     /// Memoized results: memo key → (codec wire byte, unpacked body).
     pub memo: HashMap<u64, (u8, Vec<u8>)>,
-    /// KV hash space: (hash, field) → (value, optional absolute expiry ns).
-    pub kv: HashMap<(String, String), (Vec<u8>, Option<u64>)>,
     /// Registered endpoints — the RDS substitute.
     pub endpoints: HashMap<EndpointId, EndpointRecord>,
     /// Registered functions.
     pub functions: HashMap<FunctionId, FunctionRecord>,
+}
+
+/// Arrival stamps are an encoding of an order: two states are equal when
+/// they owe the same tasks in the same order, whatever the numbers.
+impl PartialEq for WalState {
+    fn eq(&self, other: &Self) -> bool {
+        self.tasks == other.tasks
+            && self.deregistered == other.deregistered
+            && self.memo == other.memo
+            && self.endpoints == other.endpoints
+            && self.functions == other.functions
+            && self
+                .owed()
+                .iter()
+                .map(|r| r.spec.task_id)
+                .eq(other.owed().iter().map(|r| r.spec.task_id))
+    }
 }
 
 impl WalState {
@@ -65,29 +110,27 @@ impl WalState {
     /// instead of being copied a second time.
     pub fn apply_owned(&mut self, event: DurableEvent) {
         match event {
-            DurableEvent::TaskCreated { record } => {
-                // Dedup by task id: a re-logged creation replaces wholesale.
-                let task_id = record.spec.task_id;
-                self.dispatch_order.retain(|id| *id != task_id);
-                self.tasks.insert(task_id, *record);
-            }
+            DurableEvent::TaskCreated { record } => self.insert_task(*record),
             DurableEvent::TaskDispatched { task_id } => {
                 if let Some(record) = self.tasks.get_mut(&task_id) {
                     if record.state.can_transition_to(TaskState::DispatchedToEndpoint) {
                         record.state = TaskState::DispatchedToEndpoint;
                         record.delivery_count += 1;
-                        if !self.dispatch_order.contains(&task_id) {
-                            self.dispatch_order.push(task_id);
-                        }
                     }
                 }
             }
             DurableEvent::TaskRequeued { task_id, endpoint_id } => {
                 if let Some(record) = self.tasks.get_mut(&task_id) {
-                    if record.state.can_transition_to(TaskState::WaitingForEndpoint) {
+                    // A backlog task re-routed to a pool sibling is requeued
+                    // without ever having left `WaitingForEndpoint`.
+                    if record.state == TaskState::WaitingForEndpoint
+                        || record.state.can_transition_to(TaskState::WaitingForEndpoint)
+                    {
                         record.state = TaskState::WaitingForEndpoint;
-                        record.spec.endpoint_id = endpoint_id;
-                        self.dispatch_order.retain(|id| *id != task_id);
+                        if record.spec.endpoint_id != endpoint_id {
+                            record.spec.endpoint_id = endpoint_id;
+                            self.arrive(task_id);
+                        }
                     }
                 }
             }
@@ -103,7 +146,7 @@ impl WalState {
                         };
                         record.outcome = Some(outcome);
                         record.timeline = timeline;
-                        self.dispatch_order.retain(|id| *id != task_id);
+                        self.arrivals.remove(&task_id);
                     }
                 }
             }
@@ -116,60 +159,32 @@ impl WalState {
             }
             DurableEvent::TaskPurged { task_id } => {
                 self.tasks.remove(&task_id);
-                self.dispatch_order.retain(|id| *id != task_id);
+                self.arrivals.remove(&task_id);
             }
             DurableEvent::TaskFailed { task_id, error } => {
                 if let Some(record) = self.tasks.get_mut(&task_id) {
                     if !record.state.is_terminal() {
                         record.state = TaskState::Failed;
                         record.outcome = Some(TaskOutcome::Failure(error));
-                        self.dispatch_order.retain(|id| *id != task_id);
+                        self.arrivals.remove(&task_id);
                     }
                 }
-            }
-            DurableEvent::QueuePush { endpoint_id, kind, front, item } => {
-                if self.removed_queues.contains(&endpoint_id) {
-                    return;
-                }
-                let queue = self.queues.entry((endpoint_id, kind)).or_default();
-                if front {
-                    queue.push_front(item);
-                } else {
-                    queue.push_back(item);
-                }
-            }
-            DurableEvent::QueuePop { endpoint_id, kind, count } => {
-                if let Some(queue) = self.queues.get_mut(&(endpoint_id, kind)) {
-                    for _ in 0..count {
-                        if queue.pop_front().is_none() {
-                            break;
-                        }
-                    }
-                }
-            }
-            DurableEvent::QueuesRemoved { endpoint_id } => {
-                self.queues.remove(&(endpoint_id, QueueKind::Task));
-                self.queues.remove(&(endpoint_id, QueueKind::Result));
-                self.removed_queues.insert(endpoint_id);
             }
             DurableEvent::MemoInsert { key, codec, body } => {
                 self.memo.insert(key, (codec, body));
             }
-            DurableEvent::KvSet { key, field, value, expires_at_nanos } => {
-                self.kv.insert((key, field), (value, expires_at_nanos));
-            }
-            DurableEvent::KvDel { key, field } => {
-                self.kv.remove(&(key, field));
-            }
             DurableEvent::EndpointRegistered { record } => {
+                self.deregistered.remove(&record.endpoint_id);
                 self.endpoints.insert(record.endpoint_id, *record);
             }
             DurableEvent::EndpointDeregistered { endpoint_id } => {
                 self.endpoints.remove(&endpoint_id);
+                self.deregistered.insert(endpoint_id);
             }
             DurableEvent::FunctionRegistered { record } => {
                 self.functions.insert(record.function_id, *record);
             }
+            DurableEvent::Retired => {}
         }
     }
 
@@ -180,14 +195,58 @@ impl WalState {
         }
     }
 
-    /// Tasks in [`TaskState::DispatchedToEndpoint`] with no stored result,
-    /// in original dispatch order — what recovery must redeliver.
-    pub fn unacked_dispatches(&self) -> Vec<&TaskRecord> {
-        self.dispatch_order
-            .iter()
-            .filter_map(|id| self.tasks.get(id))
-            .filter(|r| r.state == TaskState::DispatchedToEndpoint)
-            .collect()
+    /// Store `record`, replacing any record with its id wholesale (a
+    /// re-logged creation). A non-terminal record arrives at the back of
+    /// its endpoint's line — what `TaskCreated` does, and how a checkpoint
+    /// reader or a slicer rebuilds a state in [`WalState::tasks_in_order`].
+    pub fn insert_task(&mut self, record: TaskRecord) {
+        let task_id = record.spec.task_id;
+        if record.state.is_terminal() {
+            self.arrivals.remove(&task_id);
+        } else {
+            self.arrive(task_id);
+        }
+        self.tasks.insert(task_id, record);
+    }
+
+    fn arrive(&mut self, task_id: TaskId) {
+        self.arrivals.insert(task_id, self.next_arrival);
+        self.next_arrival += 1;
+    }
+
+    /// Move `task_id` to the back of the line if it is still owed. Only a
+    /// checkpoint written before queues were derived needs this: its tasks
+    /// come in no order, and its dispatch list and queue items say which
+    /// order they were in.
+    pub(crate) fn rearrive(&mut self, task_id: TaskId) {
+        if self.arrivals.contains_key(&task_id) {
+            self.arrive(task_id);
+        }
+    }
+
+    /// Every non-terminal task, oldest arrival first. Filtered by
+    /// `spec.endpoint_id` this is that endpoint's task queue: dispatched
+    /// but unacked tasks (necessarily the oldest) ahead of the waiting
+    /// backlog, so re-enqueueing in this order redelivers FIFO.
+    pub fn owed(&self) -> Vec<&TaskRecord> {
+        // One pass over the records (in memory order) with a stamp lookup
+        // each, rather than one record lookup per stamp.
+        let mut stamped: Vec<(u64, &TaskRecord)> = self
+            .tasks
+            .values()
+            .filter_map(|record| Some((*self.arrivals.get(&record.spec.task_id)?, record)))
+            .collect();
+        stamped.sort_unstable_by_key(|(stamp, _)| *stamp);
+        stamped.into_iter().map(|(_, record)| record).collect()
+    }
+
+    /// Every task: the owed ones in [`WalState::owed`] order, then the
+    /// terminal ones. Feeding this to [`WalState::insert_task`] rebuilds
+    /// the same tasks in the same order.
+    pub fn tasks_in_order(&self) -> impl Iterator<Item = &TaskRecord> {
+        self.owed()
+            .into_iter()
+            .chain(self.tasks.values().filter(|record| record.state.is_terminal()))
     }
 }
 
@@ -243,27 +302,117 @@ mod tests {
         assert_eq!(record.outcome, Some(TaskOutcome::Success(vec![42])));
         assert_eq!(record.retrieved_at, Some(VirtualInstant::from_nanos(5)));
         assert_eq!(record.delivery_count, 1);
-        assert!(state.unacked_dispatches().is_empty());
+        assert!(state.owed().is_empty());
+    }
+
+    fn owed_ids(state: &WalState) -> Vec<u128> {
+        state.owed().iter().map(|r| r.spec.task_id.uuid().as_u128()).collect()
     }
 
     #[test]
-    fn unacked_dispatches_preserve_order() {
+    fn owed_is_creation_order_whatever_the_dispatch_order() {
         let mut state = WalState::new();
-        for id in 1..=3 {
+        for id in 1..=4 {
             state.apply(&waiting(id));
         }
         for id in [2u128, 3, 1] {
             state.apply(&DurableEvent::TaskDispatched { task_id: TaskId::from_u128(id) });
         }
-        // Task 3 gets acked; 2 then 1 remain outstanding in dispatch order.
+        // Task 3 gets acked; the rest are owed in the order they arrived,
+        // the unacked dispatches (1, 2) ahead of the waiting backlog (4).
         state.apply(&DurableEvent::ResultStored {
             task_id: TaskId::from_u128(3),
             outcome: TaskOutcome::Success(vec![]),
             timeline: Default::default(),
         });
-        let order: Vec<TaskId> =
-            state.unacked_dispatches().iter().map(|r| r.spec.task_id).collect();
-        assert_eq!(order, vec![TaskId::from_u128(2), TaskId::from_u128(1)]);
+        assert_eq!(owed_ids(&state), vec![1, 2, 4]);
+        let states: Vec<TaskState> = state.owed().iter().map(|r| r.state).collect();
+        assert_eq!(
+            states,
+            vec![
+                TaskState::DispatchedToEndpoint,
+                TaskState::DispatchedToEndpoint,
+                TaskState::WaitingForEndpoint
+            ]
+        );
+    }
+
+    #[test]
+    fn a_reroute_joins_the_back_and_a_pinned_requeue_keeps_its_place() {
+        let other = EndpointId::from_u128(2);
+        let mut state = WalState::new();
+        for id in 1..=3 {
+            state.apply(&waiting(id));
+        }
+        state.apply(&DurableEvent::TaskDispatched { task_id: TaskId::from_u128(1) });
+        // Pinned requeue: same endpoint, still the oldest.
+        state.apply(&DurableEvent::TaskRequeued {
+            task_id: TaskId::from_u128(1),
+            endpoint_id: EndpointId::from_u128(1),
+        });
+        assert_eq!(owed_ids(&state), vec![1, 2, 3]);
+        // Re-route of a backlog task that was never dispatched: the record
+        // follows it, and it queues behind what the sibling already owes.
+        state.apply(&DurableEvent::TaskRequeued {
+            task_id: TaskId::from_u128(2),
+            endpoint_id: other,
+        });
+        assert_eq!(owed_ids(&state), vec![1, 3, 2]);
+        let moved = &state.tasks[&TaskId::from_u128(2)];
+        assert_eq!((moved.state, moved.spec.endpoint_id), (TaskState::WaitingForEndpoint, other));
+        // A re-logged creation replaces the record and arrives afresh.
+        state.apply(&waiting(1));
+        assert_eq!(owed_ids(&state), vec![3, 2, 1]);
+        // Finished and purged tasks are owed nothing.
+        state.apply(&DurableEvent::TaskFailed { task_id: TaskId::from_u128(3), error: "x".into() });
+        state.apply(&DurableEvent::TaskPurged { task_id: TaskId::from_u128(2) });
+        assert_eq!(owed_ids(&state), vec![1]);
+    }
+
+    #[test]
+    fn equality_is_about_order_not_arrival_numbers() {
+        let mut replayed = WalState::new();
+        for id in [9u128, 1, 5, 1] {
+            replayed.apply(&waiting(id));
+        }
+        let mut rebuilt = WalState::new();
+        for record in replayed.tasks_in_order() {
+            rebuilt.insert_task(record.clone());
+        }
+        assert_eq!(owed_ids(&rebuilt), vec![9, 5, 1]);
+        assert_eq!(rebuilt, replayed);
+        let mut reordered = WalState::new();
+        for id in [1u128, 5, 9] {
+            reordered.apply(&waiting(id));
+        }
+        assert_ne!(reordered, replayed);
+    }
+
+    #[test]
+    fn a_deregistration_is_remembered_until_the_endpoint_registers_again() {
+        let endpoint_id = EndpointId::from_u128(1);
+        let record = EndpointRecord {
+            endpoint_id,
+            owner: UserId::from_u128(9),
+            name: "ep".into(),
+            description: String::new(),
+            allowed_users: vec![],
+            allowed_groups: vec![],
+            public: false,
+            status: funcx_registry::EndpointStatus::Offline,
+            generation: 1,
+            registered_at: VirtualInstant::ZERO,
+            last_report: None,
+            last_heartbeat: None,
+            runtimes: funcx_types::Runtime::ALL.to_vec(),
+        };
+        let registered = DurableEvent::EndpointRegistered { record: Box::new(record) };
+        let mut state = WalState::new();
+        state.apply(&registered);
+        state.apply(&DurableEvent::EndpointDeregistered { endpoint_id });
+        assert!(state.deregistered.contains(&endpoint_id) && state.endpoints.is_empty());
+        state.apply(&registered);
+        assert!(state.deregistered.is_empty() && state.endpoints.contains_key(&endpoint_id));
     }
 
     #[test]
@@ -299,11 +448,7 @@ mod tests {
             DurableEvent::ResultRetrieved { task_id: ghost, at_nanos: 1 },
             DurableEvent::TaskPurged { task_id: ghost },
             DurableEvent::TaskFailed { task_id: ghost, error: "x".into() },
-            DurableEvent::QueuePop {
-                endpoint_id: EndpointId::from_u128(1),
-                kind: QueueKind::Task,
-                count: 10,
-            },
+            DurableEvent::Retired,
         ]);
         assert_eq!(state, WalState::new());
     }
@@ -315,71 +460,15 @@ mod tests {
                                   // Received -> DispatchedToEndpoint is not a legal edge.
         state.apply(&DurableEvent::TaskDispatched { task_id: TaskId::from_u128(1) });
         assert_eq!(state.tasks[&TaskId::from_u128(1)].state, TaskState::Received);
-        assert!(state.dispatch_order.is_empty());
     }
 
     #[test]
-    fn queue_push_pop_and_terminal_removal() {
-        let ep = EndpointId::from_u128(1);
-        let key = (ep, QueueKind::Task);
-        let mut state = WalState::new();
-        for i in 0..4u8 {
-            state.apply(&DurableEvent::QueuePush {
-                endpoint_id: ep,
-                kind: QueueKind::Task,
-                front: false,
-                item: vec![i],
-            });
-        }
-        state.apply(&DurableEvent::QueuePush {
-            endpoint_id: ep,
-            kind: QueueKind::Task,
-            front: true,
-            item: vec![99],
-        });
-        state.apply(&DurableEvent::QueuePop { endpoint_id: ep, kind: QueueKind::Task, count: 2 });
-        assert_eq!(state.queues[&key], VecDeque::from(vec![vec![1], vec![2], vec![3]]));
-
-        state.apply(&DurableEvent::QueuesRemoved { endpoint_id: ep });
-        assert!(state.queues.is_empty());
-        // Pushes after terminal removal do not resurrect the queue.
-        state.apply(&DurableEvent::QueuePush {
-            endpoint_id: ep,
-            kind: QueueKind::Task,
-            front: false,
-            item: vec![7],
-        });
-        assert!(state.queues.is_empty());
-        assert!(state.removed_queues.contains(&ep));
-    }
-
-    #[test]
-    fn kv_and_memo_replay() {
+    fn memo_replay_keeps_the_last_insert() {
         let mut state = WalState::new();
         state.apply_all(&[
-            DurableEvent::KvSet {
-                key: "h".into(),
-                field: "a".into(),
-                value: vec![1],
-                expires_at_nanos: None,
-            },
-            DurableEvent::KvSet {
-                key: "h".into(),
-                field: "a".into(),
-                value: vec![2],
-                expires_at_nanos: Some(50),
-            },
-            DurableEvent::KvSet {
-                key: "h".into(),
-                field: "b".into(),
-                value: vec![3],
-                expires_at_nanos: None,
-            },
-            DurableEvent::KvDel { key: "h".into(), field: "b".into() },
+            DurableEvent::MemoInsert { key: 11, codec: b'N', body: vec![1] },
             DurableEvent::MemoInsert { key: 11, codec: b'J', body: vec![4] },
         ]);
-        assert_eq!(state.kv[&("h".into(), "a".into())], (vec![2], Some(50)));
-        assert!(!state.kv.contains_key(&("h".into(), "b".into())));
         assert_eq!(state.memo[&11], (b'J', vec![4]));
     }
 }

@@ -15,11 +15,14 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use funcx_types::task::{TaskOutcome, TaskRecord, TaskSpec, TaskState};
+use funcx_types::task::TaskOutcome;
 use funcx_types::time::VirtualInstant;
 use funcx_types::{EndpointId, FunctionId, TaskId, UserId};
 use funcx_wal::frame::{decode_all, HEADER_LEN, MAX_PAYLOAD};
-use funcx_wal::{DurableEvent, FsyncPolicy, QueueKind, Wal, WalConfig, WalInstruments, WalState};
+use funcx_wal::{DurableEvent, FsyncPolicy, Wal, WalConfig, WalInstruments, WalState};
+
+// `event(i)`, the deterministic lifecycle stream, and `waiting_task`.
+include!("fixtures/lifecycle_events.rs");
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let nanos = std::time::SystemTime::now()
@@ -63,23 +66,13 @@ fn copy_dir(from: &Path, to: &Path) {
 fn state_over_one_frame_limit_checkpoints_and_reopens_whole() {
     const ITEMS: u64 = 9_000;
     const ITEM_BYTES: usize = 8 << 10;
-    let endpoint_id = EndpointId::from_u128(1);
-    let item = |i: u64| {
-        let mut item = vec![i as u8; ITEM_BYTES];
-        item[..8].copy_from_slice(&i.to_le_bytes());
-        item
-    };
+    // 9 000 waiting tasks with 8 KiB inputs: the backlog of one endpoint.
+    let task = |i: u64| waiting_task(i as u128, 1, ITEM_BYTES);
 
     let dir = tmp_dir("big");
     let wal = open(&dir, 8 << 20);
     for i in 0..ITEMS {
-        wal.append(&DurableEvent::QueuePush {
-            endpoint_id,
-            kind: QueueKind::Task,
-            front: false,
-            item: item(i),
-        })
-        .expect("append");
+        wal.append(&task(i)).expect("append");
     }
     wal.snapshot_now().expect("checkpoint");
     let names = file_names(&dir);
@@ -97,37 +90,14 @@ fn state_over_one_frame_limit_checkpoints_and_reopens_whole() {
     assert!(info.snapshot_loaded, "the checkpoint must be readable");
     assert_eq!(info.replayed, 0, "the log behind it was compacted");
     assert_eq!(wal.next_seq(), ITEMS);
-    let queue = &state.queues[&(endpoint_id, QueueKind::Task)];
-    assert_eq!(queue.len() as u64, ITEMS, "every item back");
-    for (i, got) in queue.iter().enumerate() {
-        assert!(*got == item(i as u64), "item {i} differs");
+    let queue = state.owed();
+    assert_eq!(queue.len() as u64, ITEMS, "every task back");
+    for (i, got) in queue.into_iter().enumerate() {
+        let DurableEvent::TaskCreated { record } = task(i as u64) else { unreachable!() };
+        assert!(*got == *record, "task {i} differs or is out of order");
     }
     drop(wal);
     fs::remove_dir_all(&dir).ok();
-}
-
-/// Deterministic mixed-kind event stream (as in `torn_tail.rs`).
-fn event(i: u64) -> DurableEvent {
-    let endpoint_id = EndpointId::from_u128(1 + (i as u128 % 3));
-    match i % 5 {
-        0 | 4 => DurableEvent::QueuePush {
-            endpoint_id,
-            kind: QueueKind::Task,
-            front: i % 2 == 0,
-            item: (i as u128).to_be_bytes().to_vec(),
-        },
-        1 => DurableEvent::KvSet {
-            key: format!("bucket-{}", i % 4),
-            field: format!("field-{i}"),
-            value: vec![i as u8; (i as usize % 7) * 9 + 1],
-            expires_at_nanos: if i % 3 == 0 { Some(1_000_000_000 + i) } else { None },
-        },
-        2 => DurableEvent::QueuePop { endpoint_id, kind: QueueKind::Task, count: (i % 3) as u32 },
-        _ => DurableEvent::KvDel {
-            key: format!("bucket-{}", i % 4),
-            field: format!("field-{}", i.saturating_sub(5)),
-        },
-    }
 }
 
 /// Reopen a copy of `scenario` and check it against the reference: the
@@ -230,15 +200,18 @@ fn a_crash_at_every_step_of_an_install_recovers_the_reference_state() {
 
 include!("fixtures/v2_events.rs");
 
+fn owed_ids(state: &WalState) -> Vec<TaskId> {
+    state.owed().iter().map(|record| record.spec.task_id).collect()
+}
+
 #[test]
 fn a_v2_single_frame_snapshot_from_an_older_build_still_recovers() {
-    // Written by the commit before the chunked layout: `fixture_events()`
-    // appended, then `snapshot_now()`.
+    // Written by the commit before the chunked layout: the 23 records
+    // behind `fixture_events()` appended, then `snapshot_now()`.
     let fixture = include_bytes!("fixtures/v2-single-frame.snap");
-    let events = fixture_events();
     let mut reference = WalState::new();
-    reference.apply_all(&events);
-    let next_seq = events.len() as u64;
+    reference.apply_all(&fixture_events());
+    let next_seq = FIXTURE_RECORDS;
 
     let dir = tmp_dir("v2");
     fs::create_dir_all(&dir).expect("mkdir");
@@ -249,6 +222,8 @@ fn a_v2_single_frame_snapshot_from_an_older_build_still_recovers() {
     assert_eq!(wal.recovery_info().replayed, 0);
     assert_eq!(wal.next_seq(), next_seq);
     assert_eq!(state, reference);
+    // Its tasks come in no order; its dispatch list and queue are the order.
+    assert_eq!(owed_ids(&state), [2, 4].map(TaskId::from_u128));
 
     // The next checkpoint folds it into the current layout.
     let extra = event(0);
@@ -264,4 +239,60 @@ fn a_v2_single_frame_snapshot_from_an_older_build_still_recovers() {
     assert!(decode_all(&rewritten).0.len() >= 3, "header, chunk, trailer: the chunked layout");
     drop(wal);
     fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_log_and_a_checkpoint_from_before_queues_were_derived_recover_the_same_state() {
+    // Written by the last commit that journaled queues: the 23 + 8 records
+    // behind `fixture_events()` and `fixture_tail_events()`, once as one
+    // segment, once as a v3 checkpoint over the 23 with the 8 behind it.
+    // That build recovered endpoint 3's queue from them as [2, 4, 5].
+    let mut reference = WalState::new();
+    reference.apply_all(&fixture_events());
+    reference.apply_all(&fixture_tail_events());
+    let total = FIXTURE_RECORDS + FIXTURE_TAIL_RECORDS;
+    let seg = |seq: u64| format!("wal-{seq:020}.seg");
+    let snap = |seq: u64| format!("snap-{seq:020}.snap");
+    let log: &[u8] = include_bytes!("fixtures/parent-log.seg");
+    let checkpoint: &[u8] = include_bytes!("fixtures/parent-v3.snap");
+    let tail: &[u8] = include_bytes!("fixtures/parent-v3-tail.seg");
+    let scenarios = [
+        ("log", vec![(seg(0), log)], total),
+        (
+            "v3 checkpoint + tail",
+            vec![(snap(FIXTURE_RECORDS), checkpoint), (seg(FIXTURE_RECORDS), tail)],
+            FIXTURE_TAIL_RECORDS,
+        ),
+    ];
+    for (what, files, replayed) in scenarios {
+        let dir = tmp_dir("parent");
+        fs::create_dir_all(&dir).expect("mkdir");
+        for (name, bytes) in &files {
+            fs::write(dir.join(name), bytes).expect("place fixture");
+        }
+        let (wal, state) = Wal::recover(config(&dir, 8 << 20), WalInstruments::standalone())
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let info = wal.recovery_info();
+        assert_eq!(info.skipped, 0, "{what}: a retired record is read, not skipped");
+        assert_eq!(info.replayed, replayed, "{what}");
+        assert_eq!(info.truncated_bytes, 0, "{what}");
+        assert_eq!(info.snapshot_loaded, files.len() == 2, "{what}");
+        assert_eq!(wal.next_seq(), total, "{what}");
+        assert_eq!(state, reference, "{what}");
+        assert_eq!(owed_ids(&state), [2, 4, 5].map(TaskId::from_u128), "{what}");
+        assert_eq!(state.endpoints.len(), 1, "{what}");
+        assert_eq!(state.functions.len(), 1, "{what}");
+        assert_eq!(state.memo.len(), 2, "{what}");
+
+        // Checkpointed by this build, the same state in fewer bytes: the
+        // queue, KV and dispatch sections are gone from the file.
+        wal.snapshot_now().expect("checkpoint");
+        drop(wal);
+        let (wal, state) =
+            Wal::recover(config(&dir, 8 << 20), WalInstruments::standalone()).expect("reopen");
+        assert_eq!(wal.recovery_info().replayed, 0, "{what}");
+        assert_eq!(state, reference, "{what}: through this build's checkpoint");
+        drop(wal);
+        fs::remove_dir_all(&dir).ok();
+    }
 }

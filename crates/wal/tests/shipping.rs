@@ -17,10 +17,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use funcx_types::EndpointId;
 use funcx_wal::{
-    DurableEvent, Follower, FsyncPolicy, QueueKind, SegmentShipper, Shipment, Wal, WalConfig,
-    WalInstruments, WalState,
+    DurableEvent, Follower, FsyncPolicy, SegmentShipper, Shipment, Wal, WalConfig, WalInstruments,
+    WalState,
 };
 
 use proptest::prelude::*;
@@ -48,30 +47,8 @@ fn segment_path(dir: &PathBuf) -> PathBuf {
     dir.join(format!("wal-{:020}.seg", 0))
 }
 
-/// Deterministic mixed-kind event stream with varying frame sizes.
-fn event(i: u64) -> DurableEvent {
-    let endpoint_id = EndpointId::from_u128(1 + (i as u128 % 3));
-    match i % 5 {
-        0 => DurableEvent::QueuePush {
-            endpoint_id,
-            kind: QueueKind::Task,
-            front: i % 2 == 0,
-            item: (i as u128).to_be_bytes().to_vec(),
-        },
-        1 => DurableEvent::KvSet {
-            key: format!("bucket-{}", i % 4),
-            field: format!("field-{i}"),
-            value: vec![i as u8; (i as usize % 7) * 9 + 1],
-            expires_at_nanos: if i % 3 == 0 { Some(1_000_000_000 + i) } else { None },
-        },
-        2 => DurableEvent::QueuePop { endpoint_id, kind: QueueKind::Task, count: (i % 3) as u32 },
-        3 => DurableEvent::KvDel {
-            key: format!("bucket-{}", i % 4),
-            field: format!("field-{}", i.saturating_sub(5)),
-        },
-        _ => DurableEvent::QueuesRemoved { endpoint_id },
-    }
-}
+// `event(i)`: the deterministic lifecycle stream, frame sizes varying.
+include!("fixtures/lifecycle_events.rs");
 
 /// The reference state after replaying exactly `events`.
 fn prefix_state(events: &[DurableEvent]) -> WalState {

@@ -11,8 +11,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use funcx_types::EndpointId;
-use funcx_wal::{DurableEvent, FsyncPolicy, QueueKind, Wal, WalConfig, WalInstruments, WalState};
+use funcx_wal::{DurableEvent, FsyncPolicy, Wal, WalConfig, WalInstruments, WalState};
 
 use proptest::prelude::*;
 
@@ -39,32 +38,8 @@ fn segment_path(dir: &PathBuf) -> PathBuf {
     dir.join(format!("wal-{:020}.seg", 0))
 }
 
-/// Deterministic mixed-kind event stream with varying frame sizes.
-fn event(i: u64) -> DurableEvent {
-    let endpoint_id = EndpointId::from_u128(1 + (i as u128 % 3));
-    match i % 5 {
-        0 => DurableEvent::QueuePush {
-            endpoint_id,
-            kind: QueueKind::Task,
-            front: i % 2 == 0,
-            item: (i as u128).to_be_bytes().to_vec(),
-        },
-        1 => DurableEvent::KvSet {
-            key: format!("bucket-{}", i % 4),
-            field: format!("field-{i}"),
-            // Growing values make frame lengths irregular, so cut offsets
-            // land at many distinct positions inside headers and payloads.
-            value: vec![i as u8; (i as usize % 7) * 9 + 1],
-            expires_at_nanos: if i % 3 == 0 { Some(1_000_000_000 + i) } else { None },
-        },
-        2 => DurableEvent::QueuePop { endpoint_id, kind: QueueKind::Task, count: (i % 3) as u32 },
-        3 => DurableEvent::KvDel {
-            key: format!("bucket-{}", i % 4),
-            field: format!("field-{}", i.saturating_sub(5)),
-        },
-        _ => DurableEvent::QueuesRemoved { endpoint_id },
-    }
-}
+// `event(i)`: the deterministic lifecycle stream, frame sizes varying.
+include!("fixtures/lifecycle_events.rs");
 
 /// Write `events` into a fresh log; return (file bytes, frame end offsets).
 fn write_log(events: &[DurableEvent]) -> (Vec<u8>, Vec<u64>) {

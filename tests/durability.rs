@@ -24,6 +24,8 @@ use funcx_store::QueueKind;
 use funcx_types::task::{TaskOutcome, TaskState};
 use funcx_types::time::{RealClock, SharedClock};
 use funcx_types::{EndpointId, FunctionId, TaskId};
+use funcx_wal::frame::{decode_all, HEADER_LEN};
+use funcx_wal::DurableEvent;
 
 /// Fresh, collision-free log directory under the system temp dir.
 fn unique_wal_dir(tag: &str) -> PathBuf {
@@ -276,7 +278,7 @@ fn kill_and_recover_preserves_acked_results_and_redelivers_unacked() {
 }
 
 /// Redelivered tasks actually run after the restart — and only once:
-/// one stored outcome and one result-queue entry per task.
+/// one stored outcome per task, and one result stored per task.
 #[test]
 fn recovered_unacked_tasks_execute_exactly_once_after_restart() {
     let dir = unique_wal_dir("redelivery");
@@ -319,8 +321,11 @@ fn recovered_unacked_tasks_execute_exactly_once_after_restart() {
         );
         assert!(record.outcome.is_some());
     }
-    // Exactly one result per task reached the result queue — no duplicates.
-    assert_eq!(service2.store.queue_len(ep, QueueKind::Result), tasks.len());
+    // Exactly one result per task was stored — no duplicates.
+    assert_eq!(
+        service2.metrics.counter_value("funcx_results_stored_total", &[]),
+        Some(tasks.len() as u64)
+    );
     fabric2.crash();
 }
 
@@ -357,7 +362,7 @@ fn deregistered_endpoint_queue_stays_gone_across_restart() {
     assert!(service2.endpoints.get(keep).is_ok());
     assert!(service2.endpoints.get(gone).is_err(), "deregistration survives restart");
     assert_eq!(service2.store.queue_len(gone, QueueKind::Task), 0);
-    assert_eq!(report.rescued, 0, "failed backlog tasks must not be rescued");
+    assert_eq!(report.redelivered(), 0, "failed backlog tasks must not be queued again");
     for &t in &backlog {
         let record = service2.task_record(t).unwrap();
         assert_eq!(record.state, TaskState::Failed);
@@ -366,6 +371,179 @@ fn deregistered_endpoint_queue_stays_gone_across_restart() {
         };
         assert!(trace.contains("deregistered"), "unhelpful traceback: {trace}");
     }
+}
+
+/// The one segment a durable test service writes (nothing here rotates).
+fn segment_path(dir: &Path) -> PathBuf {
+    dir.join(format!("wal-{:020}.seg", 0))
+}
+
+/// The log at `dir` as whole frames: `(bytes of the frame, its record)`.
+fn log_frames(dir: &Path) -> Vec<(Vec<u8>, DurableEvent)> {
+    let bytes = std::fs::read(segment_path(dir)).expect("segment exists");
+    let (payloads, valid) = decode_all(&bytes);
+    assert_eq!(valid, bytes.len(), "a cleanly closed log has no torn tail");
+    let mut at = 0;
+    payloads
+        .into_iter()
+        .map(|payload| {
+            let frame = bytes[at..at + HEADER_LEN + payload.len()].to_vec();
+            at += frame.len();
+            (frame, DurableEvent::from_bytes(payload).expect("a record this build wrote"))
+        })
+        .collect()
+}
+
+/// A log directory holding exactly `frames`.
+fn write_log(tag: &str, frames: &[&(Vec<u8>, DurableEvent)]) -> PathBuf {
+    let dir = unique_wal_dir(tag);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let bytes: Vec<u8> = frames.iter().flat_map(|(frame, _)| frame.iter().copied()).collect();
+    std::fs::write(segment_path(&dir), bytes).expect("write log");
+    dir
+}
+
+/// Regression: a submit that races `deregister_endpoint` logs its
+/// `TaskCreated`, has its push refused by the closed queue, and the
+/// process dies before `TaskFailed` is logged. The restarted service must
+/// fail the task with the deregistration reason; it used to leave it
+/// `WaitingForEndpoint` in no queue, and `get_result` pending for ever.
+#[test]
+fn a_task_whose_endpoint_the_log_deregistered_is_failed_not_parked() {
+    let dir = unique_wal_dir("parked");
+    let clock: SharedClock = Arc::new(RealClock::with_speedup(1000.0));
+    let service = FuncxService::new(Arc::clone(&clock), durable_config(&dir));
+    let (_, token) = service.auth.login("alice", IdentityProvider::Institution, &[Scope::All]);
+    let gone = service.register_endpoint(&token, "gone", "", false).unwrap();
+    let f = register_ident(&service, &token);
+    // The deregistration has closed the queue; the racing submit, already
+    // past its endpoint lookup, logs the task and is refused.
+    service.store.queue(gone, QueueKind::Task).close();
+    let task = submit(&service, &token, f, gone, 7);
+    service.deregister_endpoint(&token, gone).expect("owner may deregister");
+    drop(service);
+
+    // The crash: everything above reached the log except the refusal's
+    // `TaskFailed` (each frame stands alone, so dropping one leaves exactly
+    // the log that interleaving writes).
+    let frames = log_frames(&dir);
+    let kept: Vec<_> = frames
+        .iter()
+        .filter(|(_, event)| !matches!(event, DurableEvent::TaskFailed { task_id, .. } if *task_id == task))
+        .collect();
+    assert_eq!(kept.len(), frames.len() - 1, "exactly the refusal is lost");
+    assert!(matches!(kept.last(), Some((_, DurableEvent::EndpointDeregistered { .. }))));
+    let crashed = write_log("parked-crash", &kept);
+
+    let clock2: SharedClock = Arc::new(RealClock::with_speedup(1000.0));
+    let (service2, _) =
+        FuncxService::recover(Arc::clone(&clock2), durable_config(&crashed)).expect("recovery");
+    let (_, token2) = service2.auth.login("alice", IdentityProvider::Institution, &[Scope::All]);
+    let outcome = service2.get_result(&token2, task).expect("the owner may ask");
+    let Some(TaskOutcome::Failure(reason)) = outcome else {
+        panic!(
+            "the task is parked: {:?}, result {outcome:?}",
+            service2.task_record(task).unwrap().state
+        );
+    };
+    assert!(reason.contains("deregistered"), "unhelpful reason: {reason}");
+    assert_eq!(service2.store.queue_len(gone, QueueKind::Task), 0);
+    // And it stays failed: the failure was logged, not just applied.
+    drop(service2);
+    let (service3, report) =
+        FuncxService::recover(Arc::clone(&clock2), durable_config(&crashed)).expect("recovery");
+    assert_eq!(service3.task_record(task).unwrap().state, TaskState::Failed);
+    assert_eq!(report.redelivered(), 0);
+}
+
+/// Whatever prefix of the log survives a crash, recovery leaves every
+/// non-terminal task in exactly one queue — its endpoint's — exactly once,
+/// in the order the tasks were created, and every terminal task in none.
+/// The expectation is worked out from the log's records alone.
+#[test]
+fn recovery_from_every_log_prefix_queues_each_live_task_once_in_creation_order() {
+    let dir = unique_wal_dir("prefixes");
+    let clock: SharedClock = Arc::new(RealClock::with_speedup(1000.0));
+    let service = FuncxService::new(Arc::clone(&clock), durable_config(&dir));
+    let (_, token) = service.auth.login("alice", IdentityProvider::Institution, &[Scope::All]);
+    let [done, in_flight, backlog, doomed] = ["done", "in-flight", "backlog", "doomed"]
+        .map(|name| service.register_endpoint(&token, name, "", false).unwrap());
+    let f = register_ident(&service, &token);
+
+    // Every stage: finished (one retrieved), dispatched and unacked, never
+    // dispatched, and failed by a deregistration.
+    let runs = connect(&service, done, 1);
+    let finished: Vec<TaskId> = (0..4).map(|i| submit(&service, &token, f, done, i)).collect();
+    wait_for_states(&service, &token, &finished, TaskState::Success, Duration::from_secs(30));
+    service.get_result(&token, finished[0]).unwrap().expect("stored result");
+    let stalls = connect(&service, in_flight, 0);
+    let unacked: Vec<TaskId> = (0..3).map(|i| submit(&service, &token, f, in_flight, i)).collect();
+    wait_for_states(
+        &service,
+        &token,
+        &unacked,
+        TaskState::DispatchedToEndpoint,
+        Duration::from_secs(30),
+    );
+    for i in 0..3 {
+        submit(&service, &token, f, backlog, i);
+        submit(&service, &token, f, doomed, i);
+    }
+    service.deregister_endpoint(&token, doomed).expect("owner may deregister");
+    runs.crash();
+    stalls.crash();
+    drop(service);
+
+    let frames = log_frames(&dir);
+    assert!(frames.len() > 30, "a log with every record kind in it: {}", frames.len());
+    for cut in 0..=frames.len() {
+        // From the records: who was created where, in what order, and who
+        // has finished.
+        let mut created: Vec<(TaskId, EndpointId)> = Vec::new();
+        let mut terminal: Vec<TaskId> = Vec::new();
+        for (_, event) in &frames[..cut] {
+            match event {
+                DurableEvent::TaskCreated { record } => {
+                    created.push((record.spec.task_id, record.spec.endpoint_id))
+                }
+                DurableEvent::ResultStored { task_id, .. }
+                | DurableEvent::TaskFailed { task_id, .. } => terminal.push(*task_id),
+                _ => {}
+            }
+        }
+
+        let prefix = write_log("prefix", &frames[..cut].iter().collect::<Vec<_>>());
+        let clock2: SharedClock = Arc::new(RealClock::with_speedup(1000.0));
+        let (recovered, report) =
+            FuncxService::recover(clock2, durable_config(&prefix)).expect("recovery");
+        assert_eq!(report.events_replayed, cut as u64);
+        assert_eq!(report.tasks_restored, created.len(), "cut {cut}");
+        let mut queued = 0;
+        for endpoint in [done, in_flight, backlog, doomed] {
+            let want: Vec<TaskId> = created
+                .iter()
+                .filter(|(task, at)| *at == endpoint && !terminal.contains(task))
+                .map(|(task, _)| *task)
+                .collect();
+            let got =
+                queue_task_ids(&recovered.store.queue(endpoint, QueueKind::Task).drain(usize::MAX));
+            assert_eq!(got, want, "cut {cut}: queue of {endpoint}");
+            queued += got.len();
+        }
+        assert_eq!(report.redelivered(), queued, "cut {cut}");
+        for (task, _) in &created {
+            let state = recovered.task_record(*task).unwrap().state;
+            assert_eq!(
+                state.is_terminal(),
+                terminal.contains(task),
+                "cut {cut}: {task} recovered {state:?}"
+            );
+            assert!(state.is_terminal() || state == TaskState::WaitingForEndpoint, "cut {cut}");
+        }
+        drop(recovered);
+        std::fs::remove_dir_all(&prefix).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Satellite regression: a submit that hits a closed task queue must fail
