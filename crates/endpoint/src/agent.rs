@@ -30,8 +30,8 @@ use funcx_proto::channel::ChannelHandle;
 use funcx_proto::heartbeat::HeartbeatTracker;
 use funcx_proto::message::{Message, TaskDispatch, TaskResult};
 use funcx_telemetry::{fx_log, Counter, Gauge, MetricsRegistry};
-use funcx_types::time::SharedClock;
-use funcx_types::{EndpointId, EndpointStatsReport, FuncxError, ManagerId};
+use funcx_types::time::{SharedClock, Wake};
+use funcx_types::{EndpointId, EndpointStatsReport, ManagerId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,6 +140,9 @@ struct Shared {
     shutdown: AtomicBool,
     /// Cut the forwarder link abruptly (endpoint-failure injection).
     drop_forwarder: AtomicBool,
+    /// The loop's wake-up: posted by the forwarder channel, every manager
+    /// channel, and each handle method that leaves the loop something to do.
+    wake: Arc<Wake>,
 }
 
 /// Handle to a running agent.
@@ -162,6 +165,7 @@ impl AttachHandle {
     /// [`Agent::attach_manager`]).
     pub fn attach(&self, channel: ChannelHandle) {
         self.shared.new_managers.lock().push(channel);
+        self.shared.wake.notify();
     }
 }
 
@@ -193,6 +197,7 @@ impl Agent {
             sandbox: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             drop_forwarder: AtomicBool::new(false),
+            wake: Wake::new(),
         });
         let thread = {
             let shared = Arc::clone(&shared);
@@ -214,7 +219,7 @@ impl Agent {
     /// Attach a manager connection (the agent side of the pair the manager
     /// was spawned with). The agent acks registration when it arrives.
     pub fn attach_manager(&self, channel: ChannelHandle) {
-        self.shared.new_managers.lock().push(channel);
+        self.attach_handle().attach(channel);
     }
 
     /// Attach the node's warm-start engine so its hit-tier counters ride
@@ -251,6 +256,7 @@ impl Agent {
     /// Managers keep executing; results buffer at the agent.
     pub fn disconnect_forwarder(&self) {
         self.shared.drop_forwarder.store(true, Ordering::Release);
+        self.shared.wake.notify();
     }
 
     /// Hand the agent a fresh forwarder channel after an outage; it
@@ -259,11 +265,13 @@ impl Agent {
     /// forwarder").
     pub fn reconnect(&self, forwarder: ChannelHandle) {
         *self.shared.new_forwarder.lock() = Some(forwarder);
+        self.shared.wake.notify();
     }
 
     /// Graceful stop.
     pub fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.wake.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -281,6 +289,11 @@ impl Drop for Agent {
     }
 }
 
+/// The agent's event loop. Its sources — the forwarder channel, every
+/// manager channel and the handle's control plane — all post `shared.wake`;
+/// each pass drains them, routes, flushes results, and only then blocks, so
+/// a completion is forwarded when it arrives. `poll_interval` is the idle
+/// tick: heartbeats, the manager watchdog, and noticing a moved clock.
 fn run_agent_loop(
     endpoint_id: EndpointId,
     config: EndpointConfig,
@@ -292,6 +305,7 @@ fn run_agent_loop(
     let mut rng = StdRng::seed_from_u64(endpoint_id.uuid().as_u128() as u64 ^ 0x5eed);
     let mut generation: u64 = 1;
     let mut forwarder_up = true;
+    forwarder.set_waker(Arc::clone(&shared.wake));
     let _ = forwarder.send(Message::RegisterEndpoint { endpoint_id, generation });
 
     let mut managers: Vec<ManagerConn> = Vec::new();
@@ -300,7 +314,7 @@ fn run_agent_loop(
     let mut last_heartbeat = clock.now();
     let mut hb_seq = 0u64;
 
-    while !shared.shutdown.load(Ordering::Acquire) {
+    'serve: while !shared.shutdown.load(Ordering::Acquire) {
         // 0. Control-plane operations from the handle.
         if shared.drop_forwarder.swap(false, Ordering::AcqRel) {
             forwarder.close();
@@ -308,21 +322,20 @@ fn run_agent_loop(
         }
         if let Some(fresh) = shared.new_forwarder.lock().take() {
             forwarder = fresh;
+            forwarder.set_waker(Arc::clone(&shared.wake));
             generation += 1;
             forwarder_up =
                 forwarder.send(Message::RegisterEndpoint { endpoint_id, generation }).is_ok();
         }
-        {
-            let mut incoming = shared.new_managers.lock();
-            for ch in incoming.drain(..) {
-                managers.push(ManagerConn { channel: ch, registered: None });
-            }
+        for channel in shared.new_managers.lock().drain(..) {
+            channel.set_waker(Arc::clone(&shared.wake));
+            managers.push(ManagerConn { channel, registered: None });
         }
 
-        // 1. Inbound from the forwarder.
-        if forwarder_up {
-            match forwarder.recv_timeout(config.poll_interval) {
-                Ok(Message::Tasks(tasks)) => {
+        // 1. Everything inbound from the forwarder.
+        while forwarder_up {
+            match forwarder.try_recv() {
+                Ok(Some(Message::Tasks(tasks))) => {
                     let now = clock.now().as_nanos();
                     for t in tasks {
                         // The head-sampling decision rode the wire: count
@@ -335,20 +348,17 @@ fn run_agent_loop(
                         pending.push_back((t, now));
                     }
                 }
-                Ok(Message::Heartbeat { seq, .. }) => {
+                Ok(Some(Message::Heartbeat { seq, .. })) => {
                     let _ = forwarder.send(Message::HeartbeatAck { seq });
                 }
-                Ok(Message::HeartbeatAck { .. }) | Ok(Message::RegisterAck) => {}
-                Ok(Message::Shutdown) => break,
-                Ok(_) => {}
-                Err(FuncxError::Timeout(_)) => {}
+                Ok(Some(Message::Shutdown)) => break 'serve,
+                Ok(Some(_)) => {}
+                Ok(None) => break,
                 Err(_) => {
                     fx_log!(Warn, "agent", "forwarder connection lost; buffering results");
                     forwarder_up = false; // buffer results; wait for reconnect
                 }
             }
-        } else {
-            std::thread::sleep(config.poll_interval);
         }
 
         // 2. Inbound from managers.
@@ -448,12 +458,12 @@ fn run_agent_loop(
             }
         }
 
-        // 4. Dispatch pending tasks to managers with credit.
-        loop {
-            if pending.is_empty() {
-                break;
-            }
-            let views: Vec<ManagerView> = managers
+        // 4. Dispatch pending tasks to managers with credit. Nothing in
+        //    here changes a deployment, and the only credit that moves is
+        //    the one a dispatch spends, so the policy's view is built once
+        //    per pass and kept current in place.
+        if !pending.is_empty() {
+            let mut views: Vec<ManagerView> = managers
                 .iter()
                 .filter_map(|c| c.registered.as_ref())
                 .filter(|s| s.outstanding.len() < s.window(&config))
@@ -463,27 +473,34 @@ fn run_agent_loop(
                     deployed_containers: s.deployed.clone(),
                 })
                 .collect();
-            if views.is_empty() {
-                break;
-            }
-            let (task, received) = pending.front().expect("non-empty").clone();
-            let Some(target) = policy.route(&mut rng, &views, task.container) else {
-                break;
-            };
-            pending.pop_front();
-            // Per-task dispatch cost: the serialization + socket work that
-            // bounds a single agent at ~1 700 tasks/s (§5.2.3).
-            clock.sleep(config.dispatch_overhead);
-            let conn = managers
-                .iter_mut()
-                .find(|c| c.registered.as_ref().map(|s| s.manager_id) == Some(target))
-                .expect("routed to live manager");
-            let state = conn.registered.as_mut().expect("registered");
-            state.outstanding.insert(task.task_id, (task.clone(), received));
-            if conn.channel.send(Message::Tasks(vec![task])).is_err() {
-                // Channel died between poll and send; watchdog reclaims next
-                // iteration via the heartbeat path.
-                continue;
+            while !views.is_empty() {
+                let Some((front, _)) = pending.front() else { break };
+                let Some(target) = policy.route(&mut rng, &views, front.container) else {
+                    break;
+                };
+                let (task, received) = pending.pop_front().expect("front checked");
+                // Per-task dispatch cost: the serialization + socket work that
+                // bounds a single agent at ~1 700 tasks/s (§5.2.3).
+                clock.sleep(config.dispatch_overhead);
+                let view = views
+                    .iter()
+                    .position(|v| v.manager_id == target)
+                    .expect("policy routes to a manager it was shown");
+                views[view].credit -= 1;
+                if views[view].credit == 0 {
+                    views.remove(view); // order-preserving: policies index it
+                }
+                let conn = managers
+                    .iter_mut()
+                    .find(|c| c.registered.as_ref().map(|s| s.manager_id) == Some(target))
+                    .expect("routed to live manager");
+                let state = conn.registered.as_mut().expect("registered");
+                // The one copy: the agent keeps the task for re-execution
+                // if this manager is lost, the frame takes the original.
+                state.outstanding.insert(task.task_id, (task.clone(), received));
+                // A send that fails (channel died between poll and send)
+                // leaves the task outstanding; the watchdog reclaims it.
+                let _ = conn.channel.send(Message::Tasks(vec![task]));
             }
         }
 
@@ -552,6 +569,9 @@ fn run_agent_loop(
             }
             last_heartbeat = now;
         }
+
+        // 7. Block until a source posts or the housekeeping tick is due.
+        shared.wake.wait_timeout(config.poll_interval);
     }
 
     // Graceful drain: tell managers to shut down.
@@ -568,7 +588,7 @@ mod tests {
     use funcx_proto::channel::inproc_pair;
     use funcx_serial::{Payload, Serializer};
     use funcx_types::time::RealClock;
-    use funcx_types::{FunctionId, TaskId};
+    use funcx_types::{FunctionId, FuncxError, TaskId};
     use std::time::Duration;
 
     fn clock() -> SharedClock {

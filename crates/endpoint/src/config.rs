@@ -24,8 +24,10 @@ pub struct EndpointConfig {
     pub heartbeat_period: VirtualDuration,
     /// Silence after which a peer is declared lost (virtual time).
     pub heartbeat_timeout: VirtualDuration,
-    /// Wall-clock poll granularity of component event loops. Smaller is
-    /// more responsive but burns more CPU; tests use 1 ms.
+    /// Housekeeping tick of the agent and manager loops (wall clock): how
+    /// often an idle loop emits heartbeats, runs its watchdog and pool
+    /// maintenance, and notices a `ManualClock` advance. Tasks and results
+    /// never wait for it — the loops block on their `Wake`.
     pub poll_interval: Duration,
     /// Per-task dispatch overhead charged at the agent (virtual time).
     /// Calibrated so a single agent saturates at the paper's measured

@@ -26,8 +26,8 @@ use funcx_container::WarmStartEngine;
 use funcx_proto::channel::ChannelHandle;
 use funcx_proto::message::{Message, TaskDispatch, TaskResult};
 use funcx_serial::Serializer;
-use funcx_types::time::SharedClock;
-use funcx_types::{ContainerImageId, FuncxError, ManagerId};
+use funcx_types::time::{SharedClock, Wake};
+use funcx_types::{ContainerImageId, ManagerId};
 
 use funcx_sandbox::SandboxHost;
 
@@ -43,6 +43,9 @@ type SlotResult = (usize, Option<ContainerImageId>, TaskResult);
 pub struct Manager {
     manager_id: ManagerId,
     shutdown: Arc<AtomicBool>,
+    /// The loop's wake-up; posted by the agent channel, every worker
+    /// completion, and [`stop`](Self::stop) / [`kill`](Self::kill).
+    wake: Arc<Wake>,
     channel: ChannelHandle,
     thread: Option<JoinHandle<()>>,
 }
@@ -75,8 +78,10 @@ impl Manager {
     ) -> Manager {
         let manager_id = ManagerId::random();
         let shutdown = Arc::new(AtomicBool::new(false));
+        let wake = Wake::new();
         let thread = {
             let shutdown = Arc::clone(&shutdown);
+            let wake = Arc::clone(&wake);
             let channel = Arc::clone(&agent_channel);
             std::thread::Builder::new()
                 .name(format!("funcx-manager-{manager_id}"))
@@ -90,11 +95,12 @@ impl Manager {
                         warm_engine,
                         sandbox,
                         shutdown,
+                        wake,
                     )
                 })
                 .expect("spawn manager thread")
         };
-        Manager { manager_id, shutdown, channel: agent_channel, thread: Some(thread) }
+        Manager { manager_id, shutdown, wake, channel: agent_channel, thread: Some(thread) }
     }
 
     /// This manager's id.
@@ -108,6 +114,7 @@ impl Manager {
     pub fn kill(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         self.channel.close();
+        self.wake.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -116,6 +123,7 @@ impl Manager {
     /// Graceful stop: drain and exit.
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        self.wake.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -140,6 +148,11 @@ struct Slot {
     handle: Option<JoinHandle<()>>,
 }
 
+/// The manager's event loop. Its sources — the agent channel, the workers'
+/// completions and `Manager::{stop, kill}` — all post `wake`; each pass
+/// drains them, refills idle workers, returns results, and only then
+/// blocks, so a freed worker is refilled when it frees. `poll_interval` is
+/// the idle tick: heartbeats, pool maintenance, noticing a moved clock.
 #[allow(clippy::too_many_arguments)]
 fn run_manager_loop(
     manager_id: ManagerId,
@@ -150,7 +163,9 @@ fn run_manager_loop(
     warm_engine: Option<Arc<WarmStartEngine>>,
     sandbox: Option<Arc<SandboxHost>>,
     shutdown: Arc<AtomicBool>,
+    wake: Arc<Wake>,
 ) {
+    agent.set_waker(Arc::clone(&wake));
     // One runtime table for the whole node: every worker shares the same
     // sandbox host (env pool + session store).
     let runtimes = Arc::new(match sandbox {
@@ -174,6 +189,7 @@ fn run_manager_loop(
                 worker,
                 cmd_rx,
                 result_tx.clone(),
+                Arc::clone(&wake),
                 config.worker_stack_bytes,
             );
             Slot { commands: cmd_tx, busy: false, container: None, handle: Some(handle) }
@@ -195,28 +211,29 @@ fn run_manager_loop(
     let mut hb_seq = 0u64;
 
     'main: while !shutdown.load(Ordering::Acquire) {
-        // 1. Inbound from the agent.
-        match agent.recv_timeout(config.poll_interval) {
-            Ok(Message::Tasks(tasks)) => {
-                let now = clock.now().as_nanos();
-                for t in tasks {
-                    // Feed the pre-warmer's arrival-rate estimate at
-                    // *receipt* (not dispatch): queueing delay must not
-                    // starve or double-count the prediction signal.
-                    if let (Some(engine), Some(img)) = (&warm_engine, t.container) {
-                        engine.note_arrival(img);
+        // 1. Everything inbound from the agent.
+        loop {
+            match agent.try_recv() {
+                Ok(Some(Message::Tasks(tasks))) => {
+                    let now = clock.now().as_nanos();
+                    for t in tasks {
+                        // Feed the pre-warmer's arrival-rate estimate at
+                        // *receipt* (not dispatch): queueing delay must not
+                        // starve or double-count the prediction signal.
+                        if let (Some(engine), Some(img)) = (&warm_engine, t.container) {
+                            engine.note_arrival(img);
+                        }
+                        queue.push_back((t, now));
                     }
-                    queue.push_back((t, now));
                 }
+                Ok(Some(Message::Heartbeat { seq, .. })) => {
+                    let _ = agent.send(Message::HeartbeatAck { seq });
+                }
+                Ok(Some(Message::Shutdown)) => break 'main,
+                Ok(Some(_)) => {} // acks; other kinds are not manager-bound
+                Ok(None) => break,
+                Err(_) => break 'main, // agent gone; node drains and dies
             }
-            Ok(Message::Heartbeat { seq, .. }) => {
-                let _ = agent.send(Message::HeartbeatAck { seq });
-            }
-            Ok(Message::HeartbeatAck { .. }) | Ok(Message::RegisterAck) => {}
-            Ok(Message::Shutdown) => break 'main,
-            Ok(_) => {} // other kinds are not manager-bound
-            Err(FuncxError::Timeout(_)) => {}
-            Err(_) => break 'main, // agent gone; node drains and dies
         }
 
         // 2. Worker completions.
@@ -290,6 +307,9 @@ fn run_manager_loop(
             let _ = agent.send(Message::heartbeat(hb_seq));
             last_heartbeat = now;
         }
+
+        // 8. Block until a source posts or the housekeeping tick is due.
+        wake.wait_timeout(config.poll_interval);
     }
 
     // Drain: stop workers.
@@ -310,7 +330,7 @@ mod tests {
     use funcx_proto::channel::inproc_pair;
     use funcx_serial::Payload;
     use funcx_types::time::RealClock;
-    use funcx_types::{FunctionId, TaskId};
+    use funcx_types::{FunctionId, FuncxError, TaskId};
     use std::time::Duration;
 
     fn clock() -> SharedClock {

@@ -14,7 +14,7 @@ use funcx_container::{ContainerInstance, WarmStartEngine};
 use funcx_lang::{ExecHooks, Limits, Value};
 use funcx_proto::message::{TaskDispatch, TaskResult};
 use funcx_serial::{Payload, Serializer};
-use funcx_types::time::SharedClock;
+use funcx_types::time::{SharedClock, Wake};
 use funcx_types::{ContainerImageId, WorkerId};
 use parking_lot::Mutex;
 
@@ -276,12 +276,14 @@ pub enum WorkerCommand {
 ///
 /// The worker blocks on its command channel ("workers ... use blocking
 /// communication to wait for functions", §4.3) and reports each result —
-/// tagged with its slot index and current container — to the manager.
+/// tagged with its slot index and current container — to the manager,
+/// posting `manager_wake` so the manager's loop sees it at once.
 pub fn spawn_worker_thread(
     slot: usize,
     mut worker: Worker,
     commands: Receiver<WorkerCommand>,
     results: Sender<(usize, Option<ContainerImageId>, TaskResult)>,
+    manager_wake: Arc<Wake>,
     stack_bytes: usize,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
@@ -297,6 +299,7 @@ pub fn spawn_worker_thread(
                         if results.send((slot, container, result)).is_err() {
                             break;
                         }
+                        manager_wake.notify();
                     }
                 }
             }
@@ -582,12 +585,14 @@ mod tests {
         let w = bare_worker(clock);
         let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded();
         let (res_tx, res_rx) = crossbeam::channel::unbounded();
-        let handle = spawn_worker_thread(3, w, cmd_rx, res_tx, 4 << 20);
+        let wake = Wake::new();
+        let handle = spawn_worker_thread(3, w, cmd_rx, res_tx, Arc::clone(&wake), 4 << 20);
         let task = make_dispatch("def f():\n    return 7\n", "f", vec![]);
         cmd_tx.send(WorkerCommand::Run(Box::new(task), 42)).unwrap();
         let (slot, _, result) = res_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(slot, 3);
         assert!(result.success);
+        assert!(wake.wait_timeout(Duration::from_secs(5)), "completion posts the manager's wake");
         assert_eq!(result.manager_received_nanos, 42);
         // until the agent overwrites it, endpoint_received falls back to
         // the manager stamp

@@ -13,7 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use funcx_types::time::Wake;
 use funcx_types::{FuncxError, Result};
+use parking_lot::Mutex;
 
 use crate::message::Message;
 
@@ -30,34 +32,81 @@ pub trait Channel: Send + Sync {
     fn close(&self);
     /// True once either side closed.
     fn is_closed(&self) -> bool;
+    /// Post `wake` whenever `try_recv` on this side may have something new
+    /// to say: a message was delivered, or the link closed or dropped at
+    /// either end. A later call replaces the wake. Installing it posts it
+    /// once, on behalf of whatever was queued before.
+    fn set_waker(&self, wake: Arc<Wake>);
 }
 
 /// Boxed channel, the form components store.
 pub type ChannelHandle = Arc<dyn Channel>;
 
+/// Where a receiving side's [`Wake`] is kept for whoever delivers to it.
+#[derive(Default)]
+pub(crate) struct WakerSlot(Mutex<Option<Arc<Wake>>>);
+
+impl WakerSlot {
+    pub(crate) fn set(&self, wake: Arc<Wake>) {
+        wake.notify();
+        *self.0.lock() = Some(wake);
+    }
+
+    pub(crate) fn notify(&self) {
+        if let Some(wake) = self.0.lock().as_ref() {
+            wake.notify();
+        }
+    }
+}
+
+/// What the two sides of an in-process pair share: the closed flag and one
+/// waker slot per side, so a send on side `i` posts the wake of side `1 - i`.
+#[derive(Default)]
+struct PairState {
+    closed: AtomicBool,
+    wakers: [WakerSlot; 2],
+}
+
+impl PairState {
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// Close the link and wake both loops so each observes it.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.wakers[0].notify();
+        self.wakers[1].notify();
+    }
+}
+
 /// One side of an in-process channel pair.
 struct InprocSide {
     tx: Sender<Message>,
     rx: Receiver<Message>,
-    closed: Arc<AtomicBool>,
+    pair: Arc<PairState>,
+    /// Which of the pair's waker slots is this side's own.
+    side: usize,
 }
 
 impl Channel for InprocSide {
     fn send(&self, msg: Message) -> Result<()> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.pair.is_closed() {
             return Err(FuncxError::Disconnected("channel closed".into()));
         }
-        self.tx.send(msg).map_err(|_| FuncxError::Disconnected("peer receiver dropped".into()))
+        self.tx.send(msg).map_err(|_| FuncxError::Disconnected("peer receiver dropped".into()))?;
+        self.pair.wakers[1 - self.side].notify();
+        Ok(())
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Message> {
-        if self.closed.load(Ordering::Acquire) && self.rx.is_empty() {
+        if self.pair.is_closed() && self.rx.is_empty() {
             return Err(FuncxError::Disconnected("channel closed".into()));
         }
         match self.rx.recv_timeout(timeout) {
             Ok(m) => Ok(m),
             Err(RecvTimeoutError::Timeout) => {
-                if self.closed.load(Ordering::Acquire) {
+                if self.pair.is_closed() {
                     Err(FuncxError::Disconnected("channel closed".into()))
                 } else {
                     Err(FuncxError::Timeout("recv".into()))
@@ -73,7 +122,7 @@ impl Channel for InprocSide {
         match self.rx.try_recv() {
             Ok(m) => Ok(Some(m)),
             Err(crossbeam::channel::TryRecvError::Empty) => {
-                if self.closed.load(Ordering::Acquire) {
+                if self.pair.is_closed() {
                     Err(FuncxError::Disconnected("channel closed".into()))
                 } else {
                     Ok(None)
@@ -86,11 +135,24 @@ impl Channel for InprocSide {
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.pair.close();
     }
 
     fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+        self.pair.is_closed()
+    }
+
+    fn set_waker(&self, wake: Arc<Wake>) {
+        self.pair.wakers[self.side].set(wake);
+    }
+}
+
+/// Dropping a side is the failure injection of Figures 7 and 8. The peer's
+/// loop is woken *after* the link reads closed: a wake-up that ran ahead of
+/// the sender's own drop would find the pipe merely empty and sleep again.
+impl Drop for InprocSide {
+    fn drop(&mut self) {
+        self.pair.close();
     }
 }
 
@@ -100,9 +162,9 @@ impl Channel for InprocSide {
 pub fn inproc_pair() -> (ChannelHandle, ChannelHandle) {
     let (a_tx, b_rx) = unbounded();
     let (b_tx, a_rx) = unbounded();
-    let closed = Arc::new(AtomicBool::new(false));
-    let a = InprocSide { tx: a_tx, rx: a_rx, closed: Arc::clone(&closed) };
-    let b = InprocSide { tx: b_tx, rx: b_rx, closed };
+    let pair = Arc::new(PairState::default());
+    let a = InprocSide { tx: a_tx, rx: a_rx, pair: Arc::clone(&pair), side: 0 };
+    let b = InprocSide { tx: b_tx, rx: b_rx, pair, side: 1 };
     (Arc::new(a), Arc::new(b))
 }
 
@@ -117,22 +179,27 @@ struct LatencySide {
     rx: Receiver<(funcx_types::time::VirtualInstant, Message)>,
     clock: funcx_types::time::SharedClock,
     latency: Duration,
-    closed: Arc<AtomicBool>,
+    pair: Arc<PairState>,
+    side: usize,
 }
 
 impl Channel for LatencySide {
     fn send(&self, msg: Message) -> Result<()> {
-        if self.closed.load(Ordering::Acquire) {
+        if self.pair.is_closed() {
             return Err(FuncxError::Disconnected("channel closed".into()));
         }
         let deliver_at = self.clock.now() + self.latency;
         self.tx
             .send((deliver_at, msg))
-            .map_err(|_| FuncxError::Disconnected("peer receiver dropped".into()))
+            .map_err(|_| FuncxError::Disconnected("peer receiver dropped".into()))?;
+        // Posted at send time: the woken loop's `try_recv` then sleeps out
+        // the rest of the propagation delay on the virtual clock.
+        self.pair.wakers[1 - self.side].notify();
+        Ok(())
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Message> {
-        if self.closed.load(Ordering::Acquire) && self.rx.is_empty() {
+        if self.pair.is_closed() && self.rx.is_empty() {
             return Err(FuncxError::Disconnected("channel closed".into()));
         }
         match self.rx.recv_timeout(timeout) {
@@ -141,7 +208,7 @@ impl Channel for LatencySide {
                 Ok(m)
             }
             Err(RecvTimeoutError::Timeout) => {
-                if self.closed.load(Ordering::Acquire) {
+                if self.pair.is_closed() {
                     Err(FuncxError::Disconnected("channel closed".into()))
                 } else {
                     Err(FuncxError::Timeout("recv".into()))
@@ -160,7 +227,7 @@ impl Channel for LatencySide {
                 Ok(Some(m))
             }
             Err(crossbeam::channel::TryRecvError::Empty) => {
-                if self.closed.load(Ordering::Acquire) {
+                if self.pair.is_closed() {
                     Err(FuncxError::Disconnected("channel closed".into()))
                 } else {
                     Ok(None)
@@ -173,11 +240,21 @@ impl Channel for LatencySide {
     }
 
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.pair.close();
     }
 
     fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+        self.pair.is_closed()
+    }
+
+    fn set_waker(&self, wake: Arc<Wake>) {
+        self.pair.wakers[self.side].set(wake);
+    }
+}
+
+impl Drop for LatencySide {
+    fn drop(&mut self) {
+        self.pair.close();
     }
 }
 
@@ -192,22 +269,85 @@ pub fn inproc_pair_with_latency(
     }
     let (a_tx, b_rx) = unbounded();
     let (b_tx, a_rx) = unbounded();
-    let closed = Arc::new(AtomicBool::new(false));
+    let pair = Arc::new(PairState::default());
     let a = LatencySide {
         tx: a_tx,
         rx: a_rx,
         clock: Arc::clone(&clock),
         latency,
-        closed: Arc::clone(&closed),
+        pair: Arc::clone(&pair),
+        side: 0,
     };
-    let b = LatencySide { tx: b_tx, rx: b_rx, clock, latency, closed };
+    let b = LatencySide { tx: b_tx, rx: b_rx, clock, latency, pair, side: 1 };
     (Arc::new(a), Arc::new(b))
+}
+
+/// The [`Channel::set_waker`] contract, checked against every transport.
+#[cfg(test)]
+pub(crate) mod waker_contract {
+    use super::*;
+
+    /// A drain-then-block loop in miniature; panics if the wake is not
+    /// posted for something `try_recv` goes on to report.
+    fn next(ch: &ChannelHandle, wake: &Wake) -> Result<Message> {
+        loop {
+            if let Some(msg) = ch.try_recv()? {
+                return Ok(msg);
+            }
+            assert!(wake.wait_timeout(Duration::from_secs(30)), "slept through an event");
+        }
+    }
+
+    pub(crate) fn check(pair: impl Fn() -> (ChannelHandle, ChannelHandle)) {
+        let (a, b) = pair();
+        // Sent before the wake exists: installing it is the announcement.
+        a.send(Message::heartbeat(1)).unwrap();
+        let first = Wake::new();
+        b.set_waker(Arc::clone(&first));
+        assert_eq!(next(&b, &first).unwrap(), Message::heartbeat(1));
+        // Delivery posts the receiving side's wake, in both directions.
+        a.send(Message::heartbeat(2)).unwrap();
+        assert_eq!(next(&b, &first).unwrap(), Message::heartbeat(2));
+        let a_wake = Wake::new();
+        a.set_waker(Arc::clone(&a_wake));
+        b.send(Message::HeartbeatAck { seq: 2 }).unwrap();
+        assert_eq!(next(&a, &a_wake).unwrap(), Message::HeartbeatAck { seq: 2 });
+        // A second wake replaces the first.
+        first.wait_timeout(Duration::ZERO);
+        let second = Wake::new();
+        b.set_waker(Arc::clone(&second));
+        a.send(Message::heartbeat(3)).unwrap();
+        assert_eq!(next(&b, &second).unwrap(), Message::heartbeat(3));
+        assert!(!first.wait_timeout(Duration::from_millis(20)), "replaced wake still posted");
+        // Closing one side wakes both loops into `Disconnected`.
+        a.close();
+        assert!(matches!(next(&a, &a_wake), Err(FuncxError::Disconnected(_))));
+        assert!(matches!(next(&b, &second), Err(FuncxError::Disconnected(_))));
+
+        // Dropping a side (the failure injection) wakes its peer.
+        let (a, b) = pair();
+        let wake = Wake::new();
+        b.set_waker(Arc::clone(&wake));
+        drop(a);
+        assert!(matches!(next(&b, &wake), Err(FuncxError::Disconnected(_))));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
+
+    #[test]
+    fn waker_contract_holds_for_both_inproc_pairs() {
+        use funcx_types::time::RealClock;
+        waker_contract::check(inproc_pair);
+        // One virtual second each way is 1 ms of wall time.
+        waker_contract::check(|| {
+            let clock = Arc::new(RealClock::with_speedup(1000.0));
+            inproc_pair_with_latency(clock, Duration::from_secs(1))
+        });
+    }
 
     #[test]
     fn bidirectional_send_recv() {

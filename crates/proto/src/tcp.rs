@@ -13,10 +13,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use funcx_types::time::Wake;
 use funcx_types::{FuncxError, Result};
 use parking_lot::Mutex;
 
-use crate::channel::{Channel, ChannelHandle};
+use crate::channel::{Channel, ChannelHandle, WakerSlot};
 use crate::message::Message;
 
 /// Largest accepted frame (64 MiB) — guards against hostile length prefixes.
@@ -50,6 +51,8 @@ struct TcpChannel {
     writer: Mutex<TcpStream>,
     incoming: Receiver<Message>,
     closed: Arc<AtomicBool>,
+    /// Shared with the reader thread, which is what delivers to this side.
+    waker: Arc<WakerSlot>,
 }
 
 impl TcpChannel {
@@ -59,6 +62,8 @@ impl TcpChannel {
         let (tx, rx): (Sender<Message>, Receiver<Message>) = unbounded();
         let mut reader = stream.try_clone().expect("clone tcp stream");
         let closed_reader = Arc::clone(&closed);
+        let waker = Arc::new(WakerSlot::default());
+        let waker_reader = Arc::clone(&waker);
         std::thread::Builder::new()
             .name("funcx-tcp-reader".into())
             .spawn(move || {
@@ -69,14 +74,16 @@ impl TcpChannel {
                             if tx.send(msg).is_err() {
                                 break;
                             }
+                            waker_reader.notify();
                         }
                         Err(_) => break, // protocol violation: drop link
                     }
                 }
                 closed_reader.store(true, Ordering::Release);
+                waker_reader.notify();
             })
             .expect("spawn tcp reader");
-        Arc::new(TcpChannel { writer: Mutex::new(stream), incoming: rx, closed })
+        Arc::new(TcpChannel { writer: Mutex::new(stream), incoming: rx, closed, waker })
     }
 }
 
@@ -127,10 +134,24 @@ impl Channel for TcpChannel {
     fn close(&self) {
         self.closed.store(true, Ordering::Release);
         let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
+        self.waker.notify();
     }
 
     fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
+    }
+
+    fn set_waker(&self, wake: Arc<Wake>) {
+        self.waker.set(wake);
+    }
+}
+
+/// The reader thread holds a clone of the socket, so without this a dropped
+/// handle would leave the connection up: the peer would learn of the loss
+/// from heartbeat silence, and the reader would outlive the channel.
+impl Drop for TcpChannel {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -211,6 +232,11 @@ mod tests {
         let client = connect(addr).unwrap();
         let server_side = h.join().unwrap();
         (client, server_side)
+    }
+
+    #[test]
+    fn waker_contract_holds_over_real_sockets() {
+        crate::channel::waker_contract::check(pair);
     }
 
     #[test]

@@ -29,7 +29,10 @@ pub struct ServiceConfig {
     pub heartbeat_period: VirtualDuration,
     /// Forwarder declares the agent lost after this silence (virtual).
     pub heartbeat_timeout: VirtualDuration,
-    /// Wall-clock poll granularity of the forwarder loop.
+    /// Housekeeping tick of the forwarder loop (wall clock): how often an
+    /// idle forwarder emits its heartbeat and checks the agent's liveness.
+    /// Dispatches and results never wait for it — the loop blocks on its
+    /// `Wake`.
     pub poll_interval: Duration,
     /// Maximum tasks one forwarder pass drains from the queue (dispatch
     /// batching toward the endpoint).

@@ -23,8 +23,8 @@ use funcx_store::QueueKind;
 use funcx_telemetry::fx_log;
 use funcx_types::ids::Uuid;
 use funcx_types::task::{TaskOutcome, TaskState};
-use funcx_types::time::{VirtualDuration, VirtualInstant};
-use funcx_types::{EndpointId, FunctionId, FuncxError, TaskId};
+use funcx_types::time::{VirtualDuration, VirtualInstant, Wake};
+use funcx_types::{EndpointId, FunctionId, TaskId};
 
 use funcx_wal::DurableEvent;
 
@@ -35,6 +35,9 @@ use crate::service::FuncxService;
 pub struct Forwarder {
     endpoint_id: EndpointId,
     shutdown: Arc<AtomicBool>,
+    /// The loop's wake-up; posted by the task queue, the agent channel and
+    /// [`stop`](Self::stop).
+    wake: Arc<Wake>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -47,6 +50,7 @@ impl Forwarder {
     /// Stop the forwarder (service shutdown; not a failure path).
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        self.wake.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -82,15 +86,19 @@ impl FuncxService {
         let _ = self.endpoints.get(endpoint_id)?;
         let (service_side, agent_side) = inproc_pair_with_latency(self.clock(), latency);
         let shutdown = Arc::new(AtomicBool::new(false));
+        let wake = Wake::new();
         let thread = {
             let service = Arc::clone(self);
             let shutdown = Arc::clone(&shutdown);
+            let wake = Arc::clone(&wake);
             std::thread::Builder::new()
                 .name(format!("funcx-forwarder-{endpoint_id}"))
-                .spawn(move || run_forwarder_loop(service, endpoint_id, service_side, shutdown))
+                .spawn(move || {
+                    run_forwarder_loop(service, endpoint_id, service_side, shutdown, wake)
+                })
                 .expect("spawn forwarder thread")
         };
-        Ok((Forwarder { endpoint_id, shutdown, thread: Some(thread) }, agent_side))
+        Ok((Forwarder { endpoint_id, shutdown, wake, thread: Some(thread) }, agent_side))
     }
 }
 
@@ -110,9 +118,11 @@ impl FuncxService {
         let server = funcx_proto::tcp::TcpServer::bind(addr)?;
         let bound = server.local_addr();
         let shutdown = Arc::new(AtomicBool::new(false));
+        let wake = Wake::new();
         let thread = {
             let service = Arc::clone(self);
             let shutdown = Arc::clone(&shutdown);
+            let wake = Arc::clone(&wake);
             std::thread::Builder::new()
                 .name(format!("funcx-forwarder-tcp-{endpoint_id}"))
                 .spawn(move || {
@@ -127,31 +137,39 @@ impl FuncxService {
                             Err(_) => return,
                         }
                     };
-                    run_forwarder_loop(service, endpoint_id, channel, shutdown)
+                    run_forwarder_loop(service, endpoint_id, channel, shutdown, wake)
                 })
                 .expect("spawn tcp forwarder thread")
         };
-        Ok((Forwarder { endpoint_id, shutdown, thread: Some(thread) }, bound))
+        Ok((Forwarder { endpoint_id, shutdown, wake, thread: Some(thread) }, bound))
     }
 }
 
+/// The forwarder's event loop. Its sources — the endpoint's task queue, the
+/// agent channel and `Forwarder::stop` — all post `wake`; each pass drains
+/// them and only then blocks, so nothing on the task path waits out
+/// `poll_interval`, which is left as the idle tick for heartbeats and the
+/// liveness check.
 fn run_forwarder_loop(
     service: Arc<FuncxService>,
     endpoint_id: EndpointId,
     channel: ChannelHandle,
     shutdown: Arc<AtomicBool>,
+    wake: Arc<Wake>,
 ) {
     let config = service.config.clone();
     let clock = service.clock();
     let task_queue = service.store.queue(endpoint_id, QueueKind::Task);
+    channel.set_waker(Arc::clone(&wake));
+    task_queue.set_waker(Arc::clone(&wake));
 
     // Phase 1: wait for the agent's registration.
     loop {
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        match channel.recv_timeout(config.poll_interval) {
-            Ok(Message::RegisterEndpoint { endpoint_id: claimed, .. }) => {
+        match channel.try_recv() {
+            Ok(Some(Message::RegisterEndpoint { endpoint_id: claimed, .. })) => {
                 if claimed != endpoint_id {
                     // An agent for a different endpoint on our channel is a
                     // protocol violation; refuse service.
@@ -162,8 +180,10 @@ fn run_forwarder_loop(
                 let _ = channel.send(Message::RegisterAck);
                 break;
             }
-            Ok(_) => {} // ignore anything pre-registration
-            Err(FuncxError::Timeout(_)) => {}
+            Ok(Some(_)) => {} // ignore anything pre-registration
+            Ok(None) => {
+                wake.wait_timeout(config.poll_interval);
+            }
             Err(_) => return, // agent vanished before registering
         }
     }
@@ -181,9 +201,11 @@ fn run_forwarder_loop(
     let mut hb_seq = 0u64;
     let mut agent_lost = false;
 
-    while !shutdown.load(Ordering::Acquire) && !agent_lost {
+    'serve: while !shutdown.load(Ordering::Acquire) && !agent_lost {
         // 1. Drain the task queue into a dispatch batch (Fig. 3 step 4).
         let drained = task_queue.drain(config.forwarder_batch);
+        // A full batch may have left more behind, unannounced.
+        let queue_emptied = drained.is_empty() || drained.len() < config.forwarder_batch;
         if !drained.is_empty() {
             let mut batch: Vec<TaskDispatch> = Vec::with_capacity(drained.len());
             let now = clock.now();
@@ -207,36 +229,44 @@ fn run_forwarder_loop(
             }
         }
 
-        // 2. Inbound from the agent.
-        match channel.recv_timeout(config.poll_interval) {
-            Ok(msg) => {
-                heartbeat.record();
-                match msg {
-                    Message::Results(results) => {
-                        let done: HashSet<TaskId> = results.iter().map(|r| r.task_id).collect();
-                        outstanding.retain(|id| !done.contains(id));
-                        store_results(&service, endpoint_id, results);
+        // 2. Everything inbound from the agent.
+        loop {
+            match channel.try_recv() {
+                Ok(Some(msg)) => {
+                    heartbeat.record();
+                    match msg {
+                        Message::Results(results) => {
+                            let done: HashSet<TaskId> = results.iter().map(|r| r.task_id).collect();
+                            outstanding.retain(|id| !done.contains(id));
+                            store_results(&service, endpoint_id, results);
+                        }
+                        Message::Heartbeat { seq, .. } => {
+                            let _ = channel.send(Message::HeartbeatAck { seq });
+                        }
+                        Message::EndpointStatus { endpoint_id: claimed, report }
+                            if claimed == endpoint_id =>
+                        {
+                            let _ = service.endpoints.record_heartbeat(
+                                endpoint_id,
+                                report,
+                                clock.now(),
+                            );
+                        }
+                        Message::HeartbeatAck { .. } => {}
+                        Message::RegisterEndpoint { .. } => {
+                            // Duplicate registration on a live channel: ack again.
+                            let _ = channel.send(Message::RegisterAck);
+                        }
+                        Message::Shutdown => break 'serve,
+                        _ => {}
                     }
-                    Message::Heartbeat { seq, .. } => {
-                        let _ = channel.send(Message::HeartbeatAck { seq });
-                    }
-                    Message::EndpointStatus { endpoint_id: claimed, report }
-                        if claimed == endpoint_id =>
-                    {
-                        let _ =
-                            service.endpoints.record_heartbeat(endpoint_id, report, clock.now());
-                    }
-                    Message::HeartbeatAck { .. } => {}
-                    Message::RegisterEndpoint { .. } => {
-                        // Duplicate registration on a live channel: ack again.
-                        let _ = channel.send(Message::RegisterAck);
-                    }
-                    Message::Shutdown => break,
-                    _ => {}
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    agent_lost = true;
+                    break;
                 }
             }
-            Err(FuncxError::Timeout(_)) => {}
-            Err(_) => agent_lost = true,
         }
 
         // 3. Liveness: silence beyond the timeout counts as loss.
@@ -252,6 +282,11 @@ fn run_forwarder_loop(
                 agent_lost = true;
             }
             last_heartbeat = now;
+        }
+
+        // 5. Block until a source posts or the housekeeping tick is due.
+        if queue_emptied && !agent_lost {
+            wake.wait_timeout(config.poll_interval);
         }
     }
 

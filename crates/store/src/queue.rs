@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use funcx_types::time::Wake;
 use parking_lot::{Condvar, Mutex};
 
 /// An unbounded, thread-safe FIFO with blocking pop and front-requeue.
@@ -21,13 +22,23 @@ pub struct BlockingQueue {
 struct QueueInner {
     items: VecDeque<Bytes>,
     closed: bool,
+    /// The wake of the one loop that drains this queue (its forwarder).
+    waker: Option<Arc<Wake>>,
+}
+
+impl QueueInner {
+    fn notify(&self) {
+        if let Some(wake) = &self.waker {
+            wake.notify();
+        }
+    }
 }
 
 impl BlockingQueue {
     /// New empty queue.
     pub fn new() -> Arc<Self> {
         Arc::new(BlockingQueue {
-            inner: Mutex::new(QueueInner { items: VecDeque::new(), closed: false }),
+            inner: Mutex::new(QueueInner { items: VecDeque::new(), closed: false, waker: None }),
             cv: Condvar::new(),
         })
     }
@@ -39,6 +50,7 @@ impl BlockingQueue {
             return false;
         }
         g.items.push_back(item);
+        g.notify();
         drop(g);
         self.cv.notify_one();
         true
@@ -51,6 +63,7 @@ impl BlockingQueue {
             return false;
         }
         g.items.push_front(item);
+        g.notify();
         drop(g);
         self.cv.notify_one();
         true
@@ -100,8 +113,21 @@ impl BlockingQueue {
     /// Close the queue: pushes fail, poppers drain what's left then get
     /// `None`.
     pub fn close(&self) {
-        self.inner.lock().closed = true;
+        let mut g = self.inner.lock();
+        g.closed = true;
+        g.notify();
+        drop(g);
         self.cv.notify_all();
+    }
+
+    /// Post `wake` on every push and on close, for a loop that drains this
+    /// queue among other sources and so cannot park in
+    /// [`pop_timeout`](Self::pop_timeout). A later call replaces the wake
+    /// (a new forwarder generation takes over the endpoint's queue).
+    /// Installing it posts it once, on behalf of what is already queued.
+    pub fn set_waker(&self, wake: Arc<Wake>) {
+        wake.notify();
+        self.inner.lock().waker = Some(wake);
     }
 
     /// True once closed.
@@ -173,6 +199,37 @@ mod tests {
             Bytes::from_static(b"left-over")
         );
         assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
+    }
+
+    #[test]
+    fn waker_is_posted_by_pushes_and_close_and_is_replaceable() {
+        let tick = Duration::from_millis(20);
+        let q = BlockingQueue::new();
+        q.push_back(Bytes::from_static(b"early"));
+        let first = Wake::new();
+        q.set_waker(Arc::clone(&first));
+        // Queued before the wake was installed: installing announces it.
+        assert!(first.wait_timeout(Duration::from_secs(30)));
+        assert_eq!(q.drain(8).len(), 1);
+
+        q.push_back(Bytes::from_static(b"a"));
+        assert!(first.wait_timeout(Duration::from_secs(30)));
+        q.push_front(Bytes::from_static(b"b"));
+        assert!(first.wait_timeout(Duration::from_secs(30)));
+
+        // A second forwarder generation on the same queue takes over.
+        let second = Wake::new();
+        q.set_waker(Arc::clone(&second));
+        assert!(second.wait_timeout(Duration::from_secs(30)));
+        q.push_back(Bytes::from_static(b"c"));
+        assert!(second.wait_timeout(Duration::from_secs(30)));
+        assert!(!first.wait_timeout(tick), "replaced wake is no longer posted");
+
+        q.close();
+        assert!(second.wait_timeout(Duration::from_secs(30)));
+        // A refused push is not news.
+        assert!(!q.push_back(Bytes::from_static(b"d")));
+        assert!(!second.wait_timeout(tick));
     }
 
     #[test]

@@ -205,6 +205,52 @@ impl Clock for ManualClock {
 /// Shared handle to a clock; components hold this.
 pub type SharedClock = Arc<dyn Clock>;
 
+/// One wake-up that every source of an event loop posts to and the loop
+/// alone blocks on — what a `select!` over the loop's channels, queue and
+/// stop flag would be, for sources that are not all channels.
+///
+/// The flag makes a post that lands while the loop is busy survive until
+/// its next wait, so a loop that drains every source *after* waking and
+/// *before* waiting again cannot sleep through work: anything posted since
+/// the drain began has set the flag and the wait returns at once.
+#[derive(Default)]
+pub struct Wake {
+    posted: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Wake {
+    /// A wake with nothing posted.
+    pub fn new() -> Arc<Self> {
+        Arc::new(Wake::default())
+    }
+
+    /// Post: the current or next [`wait_timeout`](Self::wait_timeout)
+    /// returns. Posts coalesce — with the flag already set this is one
+    /// uncontended lock and no signal.
+    pub fn notify(&self) {
+        let mut posted = self.posted.lock();
+        if !*posted {
+            *posted = true;
+            drop(posted);
+            self.cv.notify_one();
+        }
+    }
+
+    /// Block until posted or `timeout` of wall time passes, and clear the
+    /// flag. True if a post ended the wait.
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut posted = self.posted.lock();
+        while !*posted {
+            if self.cv.wait_until(&mut posted, deadline).timed_out() {
+                break;
+            }
+        }
+        std::mem::take(&mut *posted)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,6 +306,44 @@ mod tests {
         c.advance(Duration::from_secs(10));
         h.join().unwrap();
         assert!(woke.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn wake_posted_before_the_wait_returns_at_once_and_is_cleared() {
+        let w = Wake::new();
+        w.notify();
+        let start = Instant::now();
+        assert!(w.wait_timeout(Duration::from_secs(30)));
+        assert!(start.elapsed() < Duration::from_secs(5));
+        // The wait consumed the post: the next one times out.
+        assert!(!w.wait_timeout(Duration::from_millis(20)));
+    }
+
+    #[test]
+    fn wake_coalesces_posts() {
+        let w = Wake::new();
+        for _ in 0..100 {
+            w.notify();
+        }
+        assert!(w.wait_timeout(Duration::from_secs(30)));
+        assert!(!w.wait_timeout(Duration::from_millis(20)), "100 posts are one wake-up");
+    }
+
+    #[test]
+    fn wake_from_another_thread_ends_a_long_wait() {
+        let w = Wake::new();
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let w2 = Arc::clone(&w);
+        let h = std::thread::spawn(move || {
+            entered_tx.send(()).unwrap();
+            let start = Instant::now();
+            (w2.wait_timeout(Duration::from_secs(30)), start.elapsed())
+        });
+        entered_rx.recv().unwrap();
+        w.notify();
+        let (posted, waited) = h.join().unwrap();
+        assert!(posted);
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
     }
 
     #[test]
